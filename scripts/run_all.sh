@@ -4,5 +4,5 @@ set -e
 cd "$(dirname "$0")/.."
 fracsmc validate all
 for cfg in scripts/configs/*.cfg; do
-    fracsmc run "$cfg" --threads "${FRACSMC_THREADS:-1}"
+    fracsmc run "$cfg"
 done

@@ -23,7 +23,6 @@ from .oracles import (
     FracLapOracleConfig,
     GalerkinSolution,
     QuadratureFailure,
-    error_metrics,
     euler_stable_exit,
     frac_laplacian_direct,
     galerkin_solve,
@@ -55,16 +54,12 @@ from .walks import (
     CappedWalkError,
     PathFunctionalSpec,
     WalkBatch,
-    WalkOutcome,
     fixed_radius,
     greens_q,
     occupation_zeta,
-    parabolic_walk,
     parabolic_walks,
-    poisson_walk,
     poisson_walks,
     sample_interior,
-    sample_jump,
     zeta_closed,
 )
 

@@ -23,7 +23,6 @@ from .specfun import (
     jacobi_eval_all,
     jacobi_gauss,
     legendre_gauss_shifted,
-    shifted_legendre_eval,
 )
 
 
@@ -188,6 +187,12 @@ class TimeGrid:
         return self.rule.weights
 
 
+def _shifted_legendre(n_max: int, t, T: float) -> np.ndarray:
+    """Shifted Legendre polynomials L_0..L_n_max((2t - T)/T); shape (n_max+1, len(t))."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return jacobi_eval_all(n_max, JacobiIndex(0.0, 0.0), (2.0 * t - T) / T)
+
+
 @lru_cache(maxsize=64)
 def make_time_grid(T: float, N_t: int) -> TimeGrid:
     """Build (and cache) the shifted Legendre-Gauss grid on (0, T)."""
@@ -196,8 +201,7 @@ def make_time_grid(T: float, N_t: int) -> TimeGrid:
     if N_t < 0:
         raise DomainError("N_t must be >= 0")
     rule = legendre_gauss_shifted(N_t, T)
-    t = rule.nodes
-    L = np.stack([shifted_legendre_eval(q, t, T) for q in range(N_t + 1)])
+    L = _shifted_legendre(N_t, rule.nodes, T)
     q = np.arange(N_t + 1)[:, None]
     b = (2 * q + 1) / T * L * rule.weights  # == (2q+1)/2 * L_q(t_j) * std weights
     return TimeGrid(T=T, N_t=N_t, rule=rule, b_matrix=b)
@@ -227,12 +231,6 @@ def st_interpolate(grid: GjfGrid, tgrid: TimeGrid, samples) -> SpaceTimeInterpol
     return SpaceTimeInterpolant(grid=grid, tgrid=tgrid, values=samples, modal=modal)
 
 
-def _legendre_matrix(tgrid: TimeGrid, t, n_max: int | None = None) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = tgrid.N_t if n_max is None else n_max
-    return np.stack([shifted_legendre_eval(q, t, tgrid.T) for q in range(n + 1)])
-
-
 def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
     """Evaluate at points (x, t); x and t broadcast elementwise."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -244,7 +242,7 @@ def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
     one_m = 1.0 - xf * xf
     w = np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
     P = jacobi_eval_all(f.grid.N_x, JacobiIndex(alpha / 2, alpha / 2), xf)
-    L = _legendre_matrix(f.tgrid, tf)
+    L = _shifted_legendre(f.tgrid.N_t, tf, f.tgrid.T)
     out = np.einsum("pq,pk,qk->k", f.modal, w * P, L)
     out = out.reshape(shape)
     return float(out.item()) if out.ndim == 0 else out
@@ -289,6 +287,6 @@ def eval_st_modal(
         P = P * np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
     elif spatial_basis != "jacobi":
         raise ValueError(f"unknown spatial basis {spatial_basis!r}")
-    L = _legendre_matrix(tgrid, tf, n_max=coeffs.shape[1] - 1)
+    L = _shifted_legendre(coeffs.shape[1] - 1, tf, tgrid.T)
     out = np.einsum("pq,pk,qk->k", coeffs, P, L).reshape(shape)
     return float(out) if out.size == 1 else out

@@ -4,13 +4,12 @@ Config files are line-oriented key=value text with '#' comments; unknown
 keys are a hard error so typos cannot silently fall back to defaults.
 Reports are CSV with one row per sweep, formatted to round-trip doubles
 exactly.  Timing cells are left empty unless --timings is passed, so a
-report is byte-identical for a given config regardless of thread count.
+report is byte-identical for a given config.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -20,8 +19,6 @@ from . import basis, oracles, presets, specfun, walks
 from .parabolic import ParabolicConfig, stsmc_solve
 from .poisson import PoissonConfig, smc_solve
 from .rng import RngStream
-
-THREADS_ENV = "FRACSMC_THREADS"
 
 _POISSON_PRESETS = ("u1", "u2", "source_sin")
 _PARABOLIC_PRESETS = ("u1_parabolic", "u2_parabolic")
@@ -60,7 +57,7 @@ class ExperimentConfig:
             )
         if not 0 < self.alpha <= 2:
             raise ConfigError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.n_x < 0 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
+        if self.n_x < 1 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
             raise ConfigError("n_x, m, m1, k_max must be positive")
         if self.equation == "parabolic":
             if self.n_t < 1 or self.t_final <= 0 or self.n_sub < 1:
@@ -131,16 +128,8 @@ def write_report(path: str, cfg: ExperimentConfig, history, timings: bool) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
+    """Solve one experiment and write its report; n_threads has no effect."""
     if cfg.equation == "poisson":
         if cfg.preset == "u1":
             pre = presets.poly_preset(cfg.alpha)
@@ -156,7 +145,6 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
             k_max=cfg.k_max,
             tol=cfg.tol,
             inner_samples=cfg.m1,
-            n_threads=n_threads,
         )
         sol = smc_solve(pcfg, pre.source, reference=pre.solution)
     else:
@@ -174,7 +162,6 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
             seed=cfg.seed,
             k_max=cfg.k_max,
             tol=cfg.tol,
-            n_threads=n_threads,
         )
         sol = stsmc_solve(scfg, pre.source, pre.initial, reference=pre.solution)
     if not np.all(np.isfinite(sol.node_values)):
@@ -335,7 +322,9 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to key=value config file")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument(
+        "--threads", type=int, default=1, help="no effect: solves run on one thread"
+    )
     p_run.add_argument("--out", default=None, help="override report path")
     p_run.add_argument(
         "--timings", action="store_true", help="fill the elapsed_ms column"
@@ -344,7 +333,6 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="run a validation suite")
     p_val.add_argument("suite", help="specfun | basis | walk | oracle | all")
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--threads", type=int, default=None)
 
     args = parser.parse_args(argv)
     if args.command == "validate":
@@ -364,7 +352,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = ExperimentConfig(**{**cfg.__dict__, "out": args.out})
     try:
-        return run_experiment(cfg, _resolve_threads(args.threads), args.timings)
+        return run_experiment(cfg, args.threads, args.timings)
     except (specfun.DomainError, basis.ContractError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

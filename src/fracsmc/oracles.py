@@ -264,14 +264,6 @@ def jump_law_ks(
     return out
 
 
-def error_metrics(approx, exact, points) -> float:
-    """Discrete max-norm error between two evaluation callbacks."""
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        raise DomainError("error_metrics requires a nonempty point set")
-    return float(np.max(np.abs(np.asarray(approx(points)) - np.asarray(exact(points)))))
-
-
 def gjf_identity_rhs(n: int, alpha: float, x):
     """Closed-form fractional Laplacian of the n-th singular basis function."""
     factor = sp.gamma(n + alpha + 1) / sp.gamma(n + 1)
@@ -282,7 +274,6 @@ __all__ = [
     "FracLapOracleConfig",
     "GalerkinSolution",
     "QuadratureFailure",
-    "error_metrics",
     "euler_stable_exit",
     "frac_laplacian_direct",
     "galerkin_solve",

@@ -10,8 +10,6 @@ fixes the time step.
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +26,8 @@ from .basis import (
     st_interpolate,
     st_time_derivative,
 )
-from .poisson import IterationReport
-from .rng import RngStream
-from .walks import DEFAULT_JUMP_LAW, PathFunctionalSpec, parabolic_walks
+from .poisson import IterationReport, run_sweeps
+from .walks import PathFunctionalSpec, parabolic_walks
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,6 @@ class ParabolicConfig:
     seed: int = 0
     k_max: int = 60
     tol: float = 1e-12
-    jump_law: str = DEFAULT_JUMP_LAW
-    n_threads: int = 1
 
     def validate(self) -> None:
         if not 0 < self.alpha <= 2:
@@ -58,8 +53,6 @@ class ParabolicConfig:
             raise ValueError(
                 "n_x, n_t, n_walks, n_sub and k_max must be positive"
             )
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,38 +87,6 @@ def st_residual_source(interp: SpaceTimeInterpolant, source):
     return resid
 
 
-def _st_node_estimates(grid, tgrid, spec, cfg, stream):
-    """Walk means at every tensor node (x_i, t_j); deterministic per node."""
-    nodes_x = grid.nodes
-    nodes_t = tgrid.nodes
-    pairs = [(i, j) for i in range(len(nodes_x)) for j in range(len(nodes_t))]
-
-    def one(pair):
-        i, j = pair
-        return parabolic_walks(
-            float(nodes_x[i]),
-            float(nodes_t[j]),
-            cfg.n_sub,
-            spec,
-            cfg.alpha,
-            stream.child(i, j),
-            cfg.n_walks,
-            jump_law=cfg.jump_law,
-        )
-
-    if cfg.n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            batches = list(pool.map(one, pairs))
-    else:
-        batches = [one(p) for p in pairs]
-    vals = np.array([b.mean_score() for b in batches]).reshape(
-        len(nodes_x), len(nodes_t)
-    )
-    return vals
-
-
 _PROBE_X = np.linspace(-0.95, 0.95, 20)
 
 
@@ -142,66 +103,51 @@ def stsmc_solve(
         exterior = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     grid = make_grid(cfg.alpha, cfg.n_x)
     tgrid = make_time_grid(cfg.final_time, cfg.n_t)
-    root = RngStream(cfg.seed)
 
-    zero_src = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    def walk(spec, stream, i, j):
+        return parabolic_walks(
+            float(grid.nodes[i]),
+            float(tgrid.nodes[j]),
+            cfg.n_sub,
+            spec,
+            cfg.alpha,
+            stream,
+            cfg.n_walks,
+        )
+
+    def next_spec(cur):
+        # the iterate does not interpolate u0 (the time nodes are all
+        # interior), so the residual problem keeps an initial-data term
+        return PathFunctionalSpec(
+            source=st_residual_source(cur, source),
+            exterior=None,
+            initial=lambda x: initial(x)
+            - eval_st_interpolant(cur, x, np.zeros_like(np.asarray(x))),
+        )
+
     probe_t = np.linspace(cfg.final_time / 40, cfg.final_time, 20)
     px, pt = np.meshgrid(_PROBE_X, probe_t, indexing="ij")
-
-    u = np.zeros((cfg.n_x + 1, cfg.n_t + 1))
-    interp = st_interpolate(grid, tgrid, u)
-    history: list[IterationReport] = []
-    converged = False
-    for k in range(1, cfg.k_max + 1):
-        t0 = time.perf_counter()
-        if k == 1:
-            spec = PathFunctionalSpec(
-                source=source, exterior=exterior, initial=initial
-            )
-            new = _st_node_estimates(grid, tgrid, spec, cfg, root.child(k))
-        else:
-            # the iterate does not interpolate u0 (the time nodes are all
-            # interior), so the residual problem keeps an initial-data term
-            cur = interp
-            spec = PathFunctionalSpec(
-                source=st_residual_source(cur, source),
-                exterior=None,
-                initial=lambda x, cur=cur: initial(x)
-                - eval_st_interpolant(cur, x, np.zeros_like(np.asarray(x))),
-            )
-            new = u + _st_node_estimates(grid, tgrid, spec, cfg, root.child(k))
-        max_update = float(np.max(np.abs(new - u)))
-        u = new
-        interp = st_interpolate(grid, tgrid, u)
-        if reference is not None:
-            nx, nt = np.meshgrid(grid.nodes, tgrid.nodes, indexing="ij")
-            xs = np.concatenate([nx.ravel(), px.ravel()])
-            ts = np.concatenate([nt.ravel(), pt.ravel()])
-            e_inf = float(
-                np.max(
-                    np.abs(eval_st_interpolant(interp, xs, ts) - reference(xs, ts))
-                )
-            )
-        else:
-            e_inf = float("nan")
-        history.append(
-            IterationReport(
-                k=k,
-                max_update=max_update,
-                e_inf=e_inf,
-                capped_rate=0.0,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-        if max_update < cfg.tol:
-            converged = True
-            break
+    nx, nt = np.meshgrid(grid.nodes, tgrid.nodes, indexing="ij")
+    probe = (
+        np.concatenate([nx.ravel(), px.ravel()]),
+        np.concatenate([nt.ravel(), pt.ravel()]),
+    )
+    u, interp, history, converged = run_sweeps(
+        cfg,
+        (cfg.n_x + 1, cfg.n_t + 1),
+        PathFunctionalSpec(source=source, exterior=exterior, initial=initial),
+        next_spec,
+        walk,
+        lambda u: st_interpolate(grid, tgrid, u),
+        reference,
+        probe,
+    )
     return ParabolicSolution(
         config=cfg,
         grid=grid,
         tgrid=tgrid,
         node_values=u,
         interpolant=interp,
-        history=tuple(history),
+        history=history,
         converged=converged,
     )

@@ -6,11 +6,13 @@ forms the residual source f - (-Delta)^(alpha/2) u_k through the diagonal
 modal map, and runs fresh walks against that residual with homogeneous
 exterior data.  With exact arithmetic each sweep multiplies the error by
 an interpolation-type contraction factor, so a handful of sweeps with a
-small walk budget reaches noise-free accuracy.
+small walk budget reaches noise-free accuracy.  `run_sweeps` is that
+loop; the space-time solver drives it too.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +28,7 @@ from .basis import (
     make_grid,
 )
 from .rng import RngStream
-from .walks import DEFAULT_JUMP_LAW, PathFunctionalSpec, poisson_walks
+from .walks import PathFunctionalSpec, poisson_walks
 
 
 @dataclass(frozen=True)
@@ -40,16 +42,12 @@ class PoissonConfig:
     k_max: int = 60
     tol: float = 1e-12
     inner_samples: int = 32
-    jump_law: str = DEFAULT_JUMP_LAW
-    n_threads: int = 1
 
     def validate(self) -> None:
         if not 0 < self.alpha <= 2:
             raise ValueError("alpha must lie in (0, 2]")
         if self.n_x < 1 or self.n_walks < 1 or self.k_max < 1:
             raise ValueError("n_x, n_walks and k_max must be positive")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,90 +87,41 @@ def residual_source(interp: Interpolant1D, source):
     return resid
 
 
-def _node_estimates(nodes, source, exterior, cfg, stream):
-    """Walk-on-spheres means at each node, plus the capped-path rate.
-
-    Each node draws from its own child stream, so the result is identical
-    no matter how the nodes are split across worker threads.
-    """
-
-    spec = PathFunctionalSpec(
-        source=source, exterior=exterior, inner_samples=cfg.inner_samples
-    )
-
-    def one(j):
-        return poisson_walks(
-            float(nodes[j]),
-            spec,
-            cfg.alpha,
-            stream.child(j),
-            cfg.n_walks,
-            jump_law=cfg.jump_law,
-        )
-
-    if cfg.n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            batches = list(pool.map(one, range(len(nodes))))
-    else:
-        batches = [one(j) for j in range(len(nodes))]
-    vals = np.array([b.mean_score() for b in batches])
-    capped = sum(int(b.capped.sum()) for b in batches)
-    total = sum(len(b.capped) for b in batches)
-    return vals, capped / max(total, 1)
-
-
 _PROBE = np.linspace(-0.97, 0.97, 50)
 
 
-def smc_solve(
-    cfg: PoissonConfig,
-    source,
-    exterior=None,
-    reference=None,
-) -> PoissonSolution:
-    """Run the iterated solve until the update stalls below tol.
+def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
+    """The sweep loop both solvers share; returns (u, interpolant, history, converged).
 
-    When a reference solution is supplied the per-sweep report carries the
-    sup error over the nodes plus a fixed probe cloud; otherwise e_inf is
-    NaN.
+    Sweep 1 walks against `first_spec`; sweep k > 1 walks against
+    `next_spec(interp)` for the current interpolant and adds the mean
+    correction.  The nodal values form an array of shape `shape`; the node
+    at index tuple ij draws from stream (seed, k, *ij) through
+    `walk(spec, stream, *ij)`, so no number depends on the order in which
+    the nodes are walked.  `fit(u)` interpolates the nodal values.  With a
+    reference, e_inf is the sup error of the interpolant over the points
+    in the tuple `probe` (one array per coordinate); without one it is NaN.
     """
-    import time
-
-    cfg.validate()
-    if exterior is None:
-        exterior = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    grid = make_grid(cfg.alpha, cfg.n_x)
-    nodes = grid.nodes
     root = RngStream(cfg.seed)
-    zero_ext = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-
-    u = np.zeros(len(nodes))
+    u = np.zeros(shape)
+    interp = fit(u)
     history: list[IterationReport] = []
     converged = False
-    interp = interpolate(grid, u)
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
-        if k == 1:
-            est, capped_rate = _node_estimates(
-                nodes, source, exterior, cfg, root.child(k)
-            )
-            new = est
-        else:
-            resid = residual_source(interp, source)
-            est, capped_rate = _node_estimates(
-                nodes, resid, zero_ext, cfg, root.child(k)
-            )
-            new = u + est
+        spec = first_spec if k == 1 else next_spec(interp)
+        stream = root.child(k)
+        batches = [walk(spec, stream.child(*ij), *ij) for ij in np.ndindex(shape)]
+        est = np.array([b.mean_score() for b in batches]).reshape(shape)
+        capped_rate = sum(b.n_capped for b in batches) / max(
+            sum(len(b.capped) for b in batches), 1
+        )
+        new = est if k == 1 else u + est
         max_update = float(np.max(np.abs(new - u)))
         u = new
-        interp = interpolate(grid, u)
+        interp = fit(u)
         if reference is not None:
-            probe = np.concatenate([nodes, _PROBE])
-            e_inf = float(
-                np.max(np.abs(eval_interpolant(interp, probe) - reference(probe)))
-            )
+            e_inf = float(np.max(np.abs(interp(*probe) - reference(*probe))))
         else:
             e_inf = float("nan")
         history.append(
@@ -188,17 +137,62 @@ def smc_solve(
             warnings.warn(
                 f"sweep {k}: {capped_rate:.1%} of walks hit the step cap",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if max_update < cfg.tol:
             converged = True
             break
+    return u, interp, tuple(history), converged
+
+
+def smc_solve(
+    cfg: PoissonConfig,
+    source,
+    exterior=None,
+    reference=None,
+) -> PoissonSolution:
+    """Run the iterated solve until the update stalls below tol.
+
+    When a reference solution is supplied the per-sweep report carries the
+    sup error over the nodes plus a fixed probe cloud; otherwise e_inf is
+    NaN.
+    """
+    cfg.validate()
+    zero_ext = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    grid = make_grid(cfg.alpha, cfg.n_x)
+    nodes = grid.nodes
+
+    def walk(spec, stream, j):
+        return poisson_walks(float(nodes[j]), spec, cfg.alpha, stream, cfg.n_walks)
+
+    def next_spec(interp):
+        return PathFunctionalSpec(
+            source=residual_source(interp, source),
+            exterior=zero_ext,
+            inner_samples=cfg.inner_samples,
+        )
+
+    first = PathFunctionalSpec(
+        source=source,
+        exterior=zero_ext if exterior is None else exterior,
+        inner_samples=cfg.inner_samples,
+    )
+    u, interp, history, converged = run_sweeps(
+        cfg,
+        (len(nodes),),
+        first,
+        next_spec,
+        walk,
+        lambda u: interpolate(grid, u),
+        reference,
+        (np.concatenate([nodes, _PROBE]),),
+    )
     return PoissonSolution(
         config=cfg,
         grid=grid,
         node_values=u,
         interpolant=interp,
-        history=tuple(history),
+        history=history,
         converged=converged,
     )
 

@@ -3,8 +3,8 @@
 Every consumer of randomness derives its stream from a base seed plus a
 tuple of integer ids (point index, path block, iteration, purpose, ...).
 Streams with distinct ids are statistically independent and any stream can
-be reconstructed in isolation, so the simulation order (and the thread
-count) never changes the numbers drawn.
+be reconstructed in isolation, so the simulation order never changes the
+numbers drawn.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Special functions and Gauss quadrature.
 
-Gamma/Beta helpers, the (unnormalized) incomplete Beta function and its
-inverse, Jacobi and shifted-Legendre polynomial evaluation, and
-Jacobi-Gauss quadrature rules.  Everything here is a pure function of its
-arguments.
+Jacobi polynomial evaluation by the three-term recurrence, Jacobi norms,
+Jacobi-Gauss quadrature rules and the Legendre-Gauss rule mapped to
+(0, T).  Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -48,68 +47,6 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating the integral of f * jacobi weight."""
         return float(np.dot(self.weights, values))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half-line."""
-    if x <= 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return float(sp.gamma(x))
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Complete Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta_fn requires a, b > 0, got ({a}, {b})")
-    return float(sp.beta(a, b))
-
-
-def incomplete_beta(x, a: float, b: float):
-    """Unnormalized incomplete Beta B(x; a, b) = int_0^x t^(a-1)(1-t)^(b-1) dt.
-
-    Accepts scalars or arrays in x.  Monotone nondecreasing in x with
-    B(1; a, b) equal to the complete Beta.
-    """
-    if a <= 0 or b <= 0:
-        raise DomainError(f"incomplete_beta requires a, b > 0, got ({a}, {b})")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise DomainError("incomplete_beta requires x in [0, 1]")
-    out = sp.betainc(a, b, x) * sp.beta(a, b)
-    return float(out) if out.ndim == 0 else out
-
-
-def inverse_incomplete_beta(y, a: float, b: float):
-    """Inverse of the unnormalized incomplete Beta in its first argument."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"inverse_incomplete_beta requires a, b > 0, got ({a}, {b})")
-    y = np.asarray(y, dtype=float)
-    total = sp.beta(a, b)
-    if np.any(y < 0) or np.any(y > total * (1 + 1e-12)):
-        raise DomainError("inverse_incomplete_beta requires 0 <= y <= B(1; a, b)")
-    out = sp.betaincinv(a, b, np.clip(y / total, 0.0, 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def jacobi_eval(n: int, index: JacobiIndex, x):
-    """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence.
-
-    Vectorized in x; stable for |x| <= 1 and indices in the ranges used
-    here (a, b > -1).
-    """
-    a, b = index.a, index.b
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev) if p_prev.ndim == 0 else p_prev
-    p = 0.5 * ((a + b + 2) * x + (a - b))
-    for k in range(1, n):
-        s = 2 * k + a + b
-        a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
-        a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
-        a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
-        p, p_prev = (a1 * x + a2) * p - a3 * p_prev, p
-    return float(p) if p.ndim == 0 else p
 
 
 def jacobi_eval_all(n_max: int, index: JacobiIndex, x) -> np.ndarray:
@@ -176,19 +113,6 @@ def jacobi_gauss(N: int, index: JacobiIndex) -> QuadratureRule:
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(index=index, nodes=nodes, weights=weights)
-
-
-def legendre_eval(l: int, x):
-    """Legendre polynomial L_l on (-1, 1)."""
-    return jacobi_eval(l, JacobiIndex(0.0, 0.0), x)
-
-
-def shifted_legendre_eval(l: int, t, T: float):
-    """Shifted Legendre polynomial L_l((2t - T)/T) on (0, T)."""
-    if T <= 0:
-        raise DomainError("shifted_legendre_eval requires T > 0")
-    t = np.asarray(t, dtype=float)
-    return legendre_eval(l, (2.0 * t - T) / T)
 
 
 def legendre_gauss_shifted(N: int, T: float) -> QuadratureRule:

@@ -15,7 +15,7 @@ and fails the gate, so the exit law is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -53,17 +53,6 @@ class BallGeometry:
     def __post_init__(self):
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
-
-
-@dataclass
-class WalkOutcome:
-    """One simulated path: score plus diagnostics."""
-
-    score: float
-    steps: int
-    exit_point: float
-    exited: bool = True
-    capped: bool = False
 
 
 @dataclass
@@ -198,17 +187,6 @@ def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_jump(
-    r: float, alpha: float, rng: np.random.Generator, law: str = DEFAULT_JUMP_LAW
-) -> float:
-    """One ball-exit jump distance for a ball of radius r."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    if alpha == 2:
-        return r
-    return r * float(sample_jump_scaled(rng.uniform(), alpha, law))
-
-
 def sample_direction_1d(rng: np.random.Generator, size=None):
     """Symmetric sign: -1 or +1 with probability 1/2 each."""
     draw = rng.integers(0, 2, size=size)
@@ -282,8 +260,6 @@ def poisson_walks(
     alpha: float,
     stream: RngStream,
     n_paths: int,
-    shrink: float = 1.0,
-    jump_law: str = DEFAULT_JUMP_LAW,
     step_cap: int = POISSON_STEP_CAP,
 ) -> WalkBatch:
     """Simulate n_paths walk-on-spheres paths from x0, vectorized per step.
@@ -312,7 +288,7 @@ def poisson_walks(
         n_steps += 1
         idx = np.nonzero(active)[0]
         x = pos[idx]
-        r = shrink * (1.0 - np.abs(x))
+        r = 1.0 - np.abs(x)
         # source term: occupation weight times the inner sample mean
         if f is not None:
             u = rng.uniform(size=(len(idx), m1))
@@ -322,7 +298,7 @@ def poisson_walks(
         if alpha == 2:
             jump = r
         else:
-            jump = r * sample_jump_scaled(rng.uniform(size=len(idx)), alpha, jump_law)
+            jump = r * sample_jump_scaled(rng.uniform(size=len(idx)), alpha)
         new = x + jump * sample_direction_1d(rng, size=len(idx))
         pos[idx] = new
         steps[idx] += 1
@@ -343,28 +319,6 @@ def poisson_walks(
     )
 
 
-def poisson_walk(
-    x0: float,
-    spec: PathFunctionalSpec,
-    alpha: float,
-    stream: RngStream,
-    shrink: float = 1.0,
-    jump_law: str = DEFAULT_JUMP_LAW,
-    step_cap: int = POISSON_STEP_CAP,
-) -> WalkOutcome:
-    """One walk-on-spheres path; raises CappedWalkError on a capped walk."""
-    batch = poisson_walks(
-        x0, spec, alpha, stream, 1, shrink=shrink, jump_law=jump_law, step_cap=step_cap
-    )
-    if batch.capped[0]:
-        raise CappedWalkError(float(batch.scores[0]), int(batch.steps[0]))
-    return WalkOutcome(
-        score=float(batch.scores[0]),
-        steps=int(batch.steps[0]),
-        exit_point=float(batch.exit_points[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # parabolic fixed-radius walk
 
@@ -377,7 +331,6 @@ def parabolic_walks(
     alpha: float,
     stream: RngStream,
     n_paths: int,
-    jump_law: str = DEFAULT_JUMP_LAW,
 ) -> WalkBatch:
     """Fixed-radius walks over the uniform subdivision of [0, t_n].
 
@@ -399,7 +352,7 @@ def parabolic_walks(
         if alpha == 2:
             jump = r
         else:
-            jump = r * sample_jump_scaled(rng.uniform(size=n_paths), alpha, jump_law)
+            jump = r * sample_jump_scaled(rng.uniform(size=n_paths), alpha)
         posn[:, ell] = posn[:, ell - 1] + jump * sample_direction_1d(rng, size=n_paths)
 
     outside = np.abs(posn[:, 1:]) >= 1.0  # (paths, n_sub), step ell = col ell-1
@@ -438,23 +391,4 @@ def parabolic_walks(
         exit_points=stop,
         exited=exited,
         capped=np.zeros(n_paths, dtype=bool),
-    )
-
-
-def parabolic_walk(
-    x0: float,
-    t_n: float,
-    n_sub: int,
-    spec: PathFunctionalSpec,
-    alpha: float,
-    stream: RngStream,
-    jump_law: str = DEFAULT_JUMP_LAW,
-) -> WalkOutcome:
-    """One fixed-radius parabolic path."""
-    b = parabolic_walks(x0, t_n, n_sub, spec, alpha, stream, 1, jump_law=jump_law)
-    return WalkOutcome(
-        score=float(b.scores[0]),
-        steps=int(b.steps[0]),
-        exit_point=float(b.exit_points[0]),
-        exited=bool(b.exited[0]),
     )

@@ -98,6 +98,12 @@ class TestMainExitCodes:
         assert main(["run", cfg]) == 2
         assert not out.exists()
 
+    def test_zero_spatial_degree_exits_2_without_output(self, tmp_path):
+        out = tmp_path / "r.csv"
+        cfg = self._write(tmp_path, GOOD.replace("n_x = 2", "n_x = 0") + f"out = {out}\n")
+        assert main(["run", cfg]) == 2
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

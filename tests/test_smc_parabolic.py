@@ -39,20 +39,6 @@ class TestStsmcSolve:
         b = stsmc_solve(cfg, pre.source, pre.initial)
         np.testing.assert_array_equal(a.node_values, b.node_values)
 
-    def test_thread_count_does_not_change_result(self):
-        pre = parabolic_poly_preset(0.8)
-        base = dict(
-            alpha=0.8, n_x=2, n_t=3, final_time=0.5,
-            n_walks=20, n_sub=16, seed=11, k_max=3,
-        )
-        a = stsmc_solve(
-            ParabolicConfig(**base, n_threads=1), pre.source, pre.initial
-        )
-        b = stsmc_solve(
-            ParabolicConfig(**base, n_threads=4), pre.source, pre.initial
-        )
-        np.testing.assert_array_equal(a.node_values, b.node_values)
-
     def test_callable_evaluation(self):
         pre = parabolic_poly_preset(0.6)
         cfg = ParabolicConfig(

@@ -47,13 +47,6 @@ class TestSmcSolve:
         b = smc_solve(cfg, pre.source)
         np.testing.assert_array_equal(a.node_values, b.node_values)
 
-    def test_thread_count_does_not_change_result(self):
-        pre = poly_preset(0.6)
-        base = dict(alpha=0.6, n_x=4, n_walks=30, seed=12, k_max=6)
-        a = smc_solve(PoissonConfig(**base, n_threads=1), pre.source)
-        b = smc_solve(PoissonConfig(**base, n_threads=4), pre.source)
-        np.testing.assert_array_equal(a.node_values, b.node_values)
-
     def test_alpha_two_classical_limit(self):
         pre = poly_preset(2.0)
         cfg = PoissonConfig(alpha=2.0, n_x=2, n_walks=50, seed=2, k_max=60)

@@ -2,58 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import beta as sp_beta
 from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
 
+from fracsmc.basis import _shifted_legendre
 from fracsmc.specfun import (
     DomainError,
     JacobiIndex,
-    beta_fn,
-    gamma_fn,
-    incomplete_beta,
-    inverse_incomplete_beta,
-    jacobi_eval,
     jacobi_eval_all,
     jacobi_gauss,
-    legendre_eval,
     legendre_gauss_shifted,
-    shifted_legendre_eval,
 )
 
 INDICES = [JacobiIndex(0.2, 0.2), JacobiIndex(0.6, 0.6), JacobiIndex(0.6, -0.2)]
-
-
-class TestGammaBeta:
-    def test_gamma_half_integers(self):
-        assert gamma_fn(0.5) == pytest.approx(np.sqrt(np.pi), rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_beta_symmetry(self):
-        assert beta_fn(0.3, 1.7) == pytest.approx(beta_fn(1.7, 0.3), rel=1e-14)
-        assert beta_fn(2.0, 3.0) == pytest.approx(1 / 12, rel=1e-13)
-
-    def test_incomplete_beta_endpoints(self):
-        a, b = 0.8, 0.4
-        assert incomplete_beta(0.0, a, b) == 0.0
-        assert incomplete_beta(1.0, a, b) == pytest.approx(sp_beta(a, b), rel=1e-13)
-
-    def test_incomplete_beta_matches_quadrature(self):
-        a, b, x = 0.7, 0.9, 0.43
-        want, _ = integrate.quad(
-            lambda t: t ** (a - 1) * (1 - t) ** (b - 1), 0, x
-        )
-        assert incomplete_beta(x, a, b) == pytest.approx(want, rel=1e-10)
-
-    @given(st.floats(0.01, 0.99))
-    @settings(max_examples=30, deadline=None)
-    def test_inverse_incomplete_beta_roundtrip(self, frac):
-        a, b = 0.8, 0.2
-        y = frac * sp_beta(a, b)
-        x = inverse_incomplete_beta(y, a, b)
-        assert incomplete_beta(x, a, b) == pytest.approx(y, rel=1e-9)
 
 
 class TestJacobi:
@@ -61,7 +22,7 @@ class TestJacobi:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_matches_scipy(self, idx, n):
         x = np.linspace(-0.99, 0.99, 21)
-        mine = jacobi_eval(n, idx, x)
+        mine = jacobi_eval_all(n, idx, x)[n]
         ref = eval_jacobi(n, idx.a, idx.b, x)
         np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-12)
 
@@ -71,7 +32,7 @@ class TestJacobi:
         allrows = jacobi_eval_all(6, idx, x)
         for n in range(7):
             np.testing.assert_allclose(
-                allrows[n], jacobi_eval(n, idx, x), rtol=1e-13, atol=1e-13
+                allrows[n], eval_jacobi(n, idx.a, idx.b, x), rtol=1e-13, atol=1e-13
             )
 
 
@@ -119,14 +80,17 @@ class TestLegendre:
     def test_matches_scipy(self, n):
         x = np.linspace(-1, 1, 17)
         np.testing.assert_allclose(
-            legendre_eval(n, x), eval_legendre(n, x), rtol=1e-12, atol=1e-13
+            jacobi_eval_all(n, JacobiIndex(0.0, 0.0), x)[n],
+            eval_legendre(n, x),
+            rtol=1e-12,
+            atol=1e-13,
         )
 
     def test_shifted_is_legendre_of_mapped_argument(self):
         T = 0.5
         t = np.linspace(0, T, 9)
         np.testing.assert_allclose(
-            shifted_legendre_eval(4, t, T),
+            _shifted_legendre(4, t, T)[4],
             eval_legendre(4, 2 * t / T - 1),
             rtol=1e-12,
             atol=1e-13,

@@ -7,13 +7,10 @@ own reference.
 
 import numpy as np
 import pytest
-from scipy import stats
-from scipy.special import gamma as gamma_fn
 
 from fracsmc.rng import RngStream
 from fracsmc.specfun import DomainError
 from fracsmc.walks import (
-    JUMP_LAW_EXIT,
     JUMP_LAW_VERBATIM,
     BallGeometry,
     PathFunctionalSpec,
@@ -22,7 +19,6 @@ from fracsmc.walks import (
     greens_q,
     occupation_zeta,
     parabolic_walks,
-    poisson_walk,
     poisson_walks,
     sample_interior,
     sample_jump_scaled,
@@ -129,15 +125,6 @@ class TestPoissonWalk:
         batch = poisson_walks(0.0, spec, 1.2, RngStream(4), 5_000)
         np.testing.assert_allclose(batch.scores, np.abs(batch.exit_points))
         assert np.all(np.abs(batch.exit_points) >= 1.0)
-
-    def test_single_walk_consistent_with_batch(self):
-        spec = PathFunctionalSpec(
-            source=lambda x: np.cos(x), exterior=lambda x: np.zeros_like(x)
-        )
-        one = poisson_walk(0.2, spec, 0.8, RngStream(21))
-        batch = poisson_walks(0.2, spec, 0.8, RngStream(21), 1)
-        assert one.score == batch.scores[0]
-        assert one.steps == batch.steps[0]
 
     def test_start_outside_domain_rejected(self):
         spec = PathFunctionalSpec(source=None, exterior=lambda x: np.zeros_like(x))
