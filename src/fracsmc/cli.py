@@ -10,8 +10,9 @@ report is byte-identical for a given config.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,15 +56,20 @@ class ExperimentConfig:
                 f"preset {self.preset!r} not valid for {self.equation}; "
                 f"choose one of {wanted}"
             )
+        # comparisons are written so that NaN fails them
         if not 0 < self.alpha <= 2:
             raise ConfigError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.n_x < 1 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
             raise ConfigError("n_x, m, m1, k_max must be positive")
         if self.equation == "parabolic":
-            if self.n_t < 1 or self.t_final <= 0 or self.n_sub < 1:
-                raise ConfigError("parabolic runs need n_t >= 1, t_final > 0, n_sub >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+            if self.n_t < 1 or not 0 < self.t_final < math.inf or self.n_sub < 1:
+                raise ConfigError(
+                    "parabolic runs need n_t >= 1, finite t_final > 0, n_sub >= 1"
+                )
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -235,7 +241,7 @@ def _suite_basis(failures: list, seed: int) -> None:
 
 
 def _suite_walk(failures: list, seed: int) -> None:
-    from scipy.special import gamma as gamma_fn
+    from scipy.special import betainc, gamma as gamma_fn
 
     for alpha in (0.6, 1.4, 2.0):
         spec = walks.PathFunctionalSpec(
@@ -264,11 +270,27 @@ def _suite_walk(failures: list, seed: int) -> None:
     _check(
         "jump-law-ks alpha=1.0",
         ks[walks.JUMP_LAW_EXIT] < 0.02,
-        f"active code path {walks.DEFAULT_JUMP_LAW!r}: "
+        "reference inversion vs Euler exit: "
         f"KS(exit_law)={ks[walks.JUMP_LAW_EXIT]:.4f} "
         f"KS(verbatim)={ks[walks.JUMP_LAW_VERBATIM]:.4f}",
         failures,
     )
+    # the kernel's Beta-draw sampler against the closed-form survival
+    # P(J > z) = I_{1/z^2}(alpha/2, 1 - alpha/2)
+    rng = np.random.default_rng(seed)
+    n = 100_000
+    z = np.array([1.001, 1.05, 1.5, 4.0, 100.0])
+    for alpha in (0.6, 1.4):
+        jumps = walks.sample_jump(rng, alpha, n)
+        p = betainc(alpha / 2, 1 - alpha / 2, z**-2)
+        score = ((jumps > z[:, None]).mean(axis=1) - p) / np.sqrt(p * (1 - p) / n)
+        worst = np.max(np.abs(score))
+        _check(
+            f"jump-sampler-tail alpha={alpha}",
+            worst < 4,
+            f"max|z|={worst:.2f} over {len(z)} tail points",
+            failures,
+        )
 
 
 def _suite_oracle(failures: list, seed: int) -> None:
@@ -336,21 +358,23 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "validate":
+        if args.seed < 0:
+            print(f"error: seed must be non-negative, got {args.seed}", file=sys.stderr)
+            return 2
         return run_validate(args.suite, args.seed)
 
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+        overrides = {"seed": args.seed, "out": args.out}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        cfg.validate()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-    if args.out is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "out": args.out})
     try:
         return run_experiment(cfg, args.threads, args.timings)
     except (specfun.DomainError, basis.ContractError) as exc:

@@ -6,11 +6,12 @@ fixed-radius walk for the parabolic problem with a trapezoid source
 functional along the path.
 
 Jump law: the ball-exit distance of the symmetric stable process started
-at the ball center has CDF 1 - (sin(pi a/2)/pi) B(r^2/J^2; a/2, 1-a/2),
-which inverts to J = r / sqrt(1 - Binv(pi w / sin(pi a/2); 1-a/2, a/2)).
-A "verbatim" variant replacing the 1 by the complete Beta ships alongside
-it behind a validation gate (see oracles.jump_law_ks); it produces J < r
-and fails the gate, so the exit law is the default.
+at the ball center is exactly J = r W^(-1/2) with W ~ Beta(a/2, 1-a/2)
+(Blumenthal-Getoor-Ray); both kernels draw it with Generator.beta
+(sample_jump).  sample_jump_scaled is the reference inversion of the same
+law through the inverse incomplete Beta, kept with a "verbatim" variant
+(the complete Beta in place of the 1) for the Euler-exit comparison in
+oracles.jump_law_ks, which the verbatim form fails: it produces J < r.
 """
 
 from __future__ import annotations
@@ -165,8 +166,25 @@ def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:
     return float(val)
 
 
+def sample_jump(rng: np.random.Generator, alpha: float, size=None):
+    """Exact ball-exit jump distance for unit radius: J = W^(-1/2).
+
+    W ~ Beta(alpha/2, 1 - alpha/2); W is floored at the smallest subnormal
+    so J stays finite when W underflows to 0 as alpha -> 0.
+    """
+    if not 0 < alpha < 2:
+        raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
+    w = rng.beta(alpha / 2, 1 - alpha / 2, size=size)
+    return 1.0 / np.sqrt(np.maximum(w, 5e-324))
+
+
 def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
-    """Ball-exit jump distance for unit radius, from uniforms omega in (0,1)."""
+    """Reference inversion of the ball-exit jump law for unit radius.
+
+    Maps uniforms omega in (0, 1) through the inverse incomplete Beta; the
+    kernels draw the same law with sample_jump, and the oracles and the
+    jump-law checks use this one.
+    """
     if not 0 < alpha < 2:
         raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
     omega = np.asarray(omega, dtype=float)
@@ -298,7 +316,7 @@ def poisson_walks(
         if alpha == 2:
             jump = r
         else:
-            jump = r * sample_jump_scaled(rng.uniform(size=len(idx)), alpha)
+            jump = r * sample_jump(rng, alpha, len(idx))
         new = x + jump * sample_direction_1d(rng, size=len(idx))
         pos[idx] = new
         steps[idx] += 1
@@ -346,14 +364,16 @@ def parabolic_walks(
     dt = t_n / n_sub
     r = fixed_radius(dt, alpha)
 
+    # the jumps are i.i.d., so each path is drawn as one block: all jump
+    # lengths, then all signs, then the positions by one running sum
     posn = np.empty((n_paths, n_sub + 1))
     posn[:, 0] = x0
-    for ell in range(1, n_sub + 1):
-        if alpha == 2:
-            jump = r
-        else:
-            jump = r * sample_jump_scaled(rng.uniform(size=n_paths), alpha)
-        posn[:, ell] = posn[:, ell - 1] + jump * sample_direction_1d(rng, size=n_paths)
+    if alpha == 2:
+        posn[:, 1:] = r
+    else:
+        posn[:, 1:] = r * sample_jump(rng, alpha, (n_paths, n_sub))
+    posn[:, 1:] *= sample_direction_1d(rng, size=(n_paths, n_sub))
+    np.cumsum(posn, axis=1, out=posn)
 
     outside = np.abs(posn[:, 1:]) >= 1.0  # (paths, n_sub), step ell = col ell-1
     exited = outside.any(axis=1)

@@ -1,7 +1,11 @@
 """Config parsing, report writing, and exit-code behavior of the CLI."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsmc.cli import (
     ConfigError,
@@ -21,6 +25,18 @@ n_x = 2
 m = 20
 k_max = 4
 seed = 3
+"""
+
+PARABOLIC = """
+equation = parabolic
+preset = u1_parabolic
+alpha = 1.0
+n_x = 2
+n_t = 2
+t_final = 0.5
+m = 5
+n_sub = 8
+k_max = 2
 """
 
 
@@ -71,6 +87,44 @@ class TestParseConfig:
         assert again == cfg
 
 
+_ODD_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-0.5, max_value=2.5),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 2.0, 1e-300]),
+)
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parabolic=st.booleans(),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        tol=_ODD_FLOATS,
+        t_final=_ODD_FLOATS,
+        alpha=_ODD_FLOATS,
+    )
+    def test_parse_config_rejects_or_returns_sane_values(
+        self, parabolic, seed, tol, t_final, alpha
+    ):
+        head = (
+            "equation=parabolic\npreset=u1_parabolic\nn_t=2\n"
+            if parabolic
+            else "equation=poisson\npreset=u1\n"
+        )
+        text = head + f"n_x=2\nm=5\nseed={seed}\ntol={tol!r}\n" + (
+            f"t_final={t_final!r}\nalpha={alpha!r}\n"
+        )
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert cfg.seed >= 0
+        assert math.isfinite(cfg.tol) and cfg.tol > 0
+        assert 0 < cfg.alpha <= 2
+        if parabolic:
+            assert math.isfinite(cfg.t_final) and cfg.t_final > 0
+
+
 class TestFmt:
     def test_round_trips_doubles(self):
         for x in [1 / 3, 1e-300, 2**-52, np.pi, 6.02e23]:
@@ -102,6 +156,33 @@ class TestMainExitCodes:
         out = tmp_path / "r.csv"
         cfg = self._write(tmp_path, GOOD.replace("n_x = 2", "n_x = 0") + f"out = {out}\n")
         assert main(["run", cfg]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_in_config_exits_2_without_output(self, tmp_path):
+        out = tmp_path / "r.csv"
+        cfg = self._write(tmp_path, GOOD.replace("seed = 3", "seed = -1") + f"out = {out}\n")
+        assert main(["run", cfg]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_2_without_output(self, tmp_path):
+        cfg = self._write(tmp_path, GOOD)
+        out = tmp_path / "r.csv"
+        assert main(["run", cfg, "--seed", "-3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_validate_seed_exits_2(self):
+        assert main(["validate", "specfun", "--seed", "-3"]) == 2
+
+    def test_nan_tol_exits_2_without_output(self, tmp_path):
+        out = tmp_path / "r.csv"
+        cfg = self._write(tmp_path, GOOD + f"tol = nan\nout = {out}\n")
+        assert main(["run", cfg]) == 2
+        assert not out.exists()
+
+    def test_nan_final_time_exits_2_without_output(self, tmp_path):
+        out = tmp_path / "r.csv"
+        text = PARABOLIC.replace("t_final = 0.5", "t_final = nan") + f"out = {out}\n"
+        assert main(["run", self._write(tmp_path, text)]) == 2
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):

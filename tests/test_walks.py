@@ -7,6 +7,8 @@ own reference.
 
 import numpy as np
 import pytest
+from scipy import special as sp
+from scipy import stats
 
 from fracsmc.rng import RngStream
 from fracsmc.specfun import DomainError
@@ -20,7 +22,9 @@ from fracsmc.walks import (
     occupation_zeta,
     parabolic_walks,
     poisson_walks,
+    sample_direction_1d,
     sample_interior,
+    sample_jump,
     sample_jump_scaled,
     zeta_closed,
 )
@@ -61,6 +65,38 @@ class TestJumpLaw:
     def test_rejects_alpha_two(self):
         with pytest.raises(DomainError):
             sample_jump_scaled(0.5, 2.0)
+
+
+class TestBetaJumpSampler:
+    N = 200_000
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.4, 1.0, 1.4, 1.9, 1.99])
+    def test_matches_reference_inversion(self, alpha):
+        beta = sample_jump(np.random.default_rng(21), alpha, self.N)
+        inv = sample_jump_scaled(np.random.default_rng(22).uniform(size=self.N), alpha)
+        # 1% critical value of the two-sample KS statistic
+        assert stats.ks_2samp(beta, inv).statistic < 1.63 * np.sqrt(2 / self.N)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.4, 1.0, 1.4, 1.9, 1.99])
+    def test_survival_matches_closed_form(self, alpha):
+        # P(J > z) = P(W < 1/z^2) = I_{1/z^2}(alpha/2, 1 - alpha/2); no
+        # one-sample KS here: near alpha = 2 rounding puts many draws at
+        # exactly J = 1, which the continuous CDF cannot see
+        J = sample_jump(np.random.default_rng(23), alpha, self.N)
+        for z in (1.001, 1.05, 1.5, 4.0, 100.0):
+            p = sp.betainc(alpha / 2, 1 - alpha / 2, z**-2)
+            se = np.sqrt(p * (1 - p) / self.N)
+            assert abs((J > z).mean() - p) < 4 * se
+
+    def test_underflowing_draws_stay_finite(self):
+        # at alpha = 1e-3 most Beta draws underflow to 0
+        J = sample_jump(np.random.default_rng(24), 1e-3, self.N)
+        assert np.all(np.isfinite(J)) and np.all(J >= 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_rejects_alpha_outside_open_interval(self, alpha):
+        with pytest.raises(DomainError):
+            sample_jump(np.random.default_rng(0), alpha, 4)
 
 
 class TestOccupation:
@@ -163,6 +199,26 @@ class TestParabolicWalk:
         batch = parabolic_walks(0.8, 0.5, 64, spec, 1.6, RngStream(10), 4_000)
         assert batch.exited.any()
         assert np.all(np.abs(batch.exit_points[batch.exited]) >= 1.0)
+
+    def test_block_draw_equals_stepping_the_same_draws(self):
+        # the kernel draws all jumps, then all signs, and sums them in one
+        # block; stepping those draws one sub-step at a time must agree
+        # exactly, since the additions happen in the same order
+        alpha, t_n, n_sub, n, x0 = 0.7, 0.3, 16, 500, 0.2
+        spec = PathFunctionalSpec(initial=lambda x: x, exterior=lambda x, t: x)
+        batch = parabolic_walks(x0, t_n, n_sub, spec, alpha, RngStream(8), n)
+        rng = RngStream(8).generator()
+        jumps = fixed_radius(t_n / n_sub, alpha) * sample_jump(rng, alpha, (n, n_sub))
+        signs = sample_direction_1d(rng, size=(n, n_sub))
+        x = np.full(n, x0)
+        stop = np.full(n, np.nan)
+        for ell in range(n_sub):
+            x = x + jumps[:, ell] * signs[:, ell]
+            first = np.isnan(stop) & (np.abs(x) >= 1.0)
+            stop[first] = x[first]
+        stop = np.where(np.isnan(stop), x, stop)
+        np.testing.assert_array_equal(batch.exit_points, stop)
+        np.testing.assert_array_equal(batch.exited, np.abs(stop) >= 1.0)
 
     def test_mean_matches_euler_exit_oracle(self):
         # expected occupation time E[t_n ^ tau] cross-checked against the
