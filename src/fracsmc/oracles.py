@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
-from scipy import stats
 
 from .basis import gjf_eval
 from .specfun import DomainError, JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
@@ -252,6 +251,10 @@ def jump_law_ks(
     center) under both candidate laws; dt is set so an exit takes the given
     expected number of Euler steps.
     """
+    # scipy.stats costs ~0.3 s to import and only this check needs it,
+    # so a plain `fracsmc run` does not load it
+    from scipy import stats
+
     rng = np.random.default_rng(seed)
     dt = expected_exit_coeff(alpha) / euler_steps_per_exit
     loc, _, capped = euler_stable_exit(0.0, 1.0, alpha, dt, rng, n_paths=n_euler)

@@ -215,8 +215,65 @@ def sample_direction_1d(rng: np.random.Generator, size=None):
 # interior resampling from the normalized occupation density
 
 
+class _InverseCdf:
+    """A PchipInterpolator on [0, 1], evaluated faster with the same result.
+
+    For u in [0, 1) the values are bit-for-bit those of the interpolant:
+    the same interval (x[i] <= u < x[i+1]) and the same power sums as
+    scipy's PPoly evaluation.  The interval of u is read from a guide
+    table over bins of width 1/GUIDE_BINS when no knot falls inside u's
+    bin; only the points of the other bins are binary-searched.
+    """
+
+    GUIDE_BINS = 1 << 14
+    CHUNK = 1 << 13
+
+    def __init__(self, pchip: PchipInterpolator):
+        x = np.ascontiguousarray(pchip.x, dtype=float)
+        if not (x[0] == 0.0 and x[-1] == 1.0):
+            raise ValueError("inverse CDF knots must span [0, 1]")
+        self.pchip = pchip  # the reference the tests compare against
+        self.x = x
+        # per interval: left knot, then the PPoly coefficients from the
+        # constant term up
+        self.cols = tuple(
+            np.ascontiguousarray(col, dtype=float) for col in (x[:-1], *pchip.c[::-1])
+        )
+        edges = np.arange(self.GUIDE_BINS + 1) / self.GUIDE_BINS
+        first = np.searchsorted(x, edges[:-1], side="right") - 1
+        last = np.searchsorted(x, edges[1:], side="left") - 1
+        # interval of every u in the bin, or -1 where a knot splits the bin
+        self.guide = np.where(last == first, first, -1)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < 1.0):
+            raise DomainError("inverse CDF arguments must lie in [0, 1)")
+        out = np.empty_like(flat)
+        # in chunks, so that the temporaries of a wide call stay small
+        for lo in range(0, len(flat), self.CHUNK):
+            self._fill(flat[lo : lo + self.CHUNK], out[lo : lo + self.CHUNK])
+        return out.reshape(u.shape)
+
+    def _fill(self, u, out):
+        i = self.guide[(u * self.GUIDE_BINS).astype(np.intp)]
+        slow = i < 0
+        if slow.any():
+            i[slow] = np.searchsorted(self.x, u[slow], side="right") - 1
+        x0, c0, c1, c2, c3 = (col.take(i) for col in self.cols)
+        s = u - x0
+        s2 = s * s
+        # scipy's order, lowest power first; c1 s + c0 equals c0 + c1 s
+        # bit for bit, as floating-point addition commutes
+        np.multiply(c1, s, out=out)
+        out += c0
+        out += c2 * s2
+        out += c3 * (s2 * s)
+
+
 @lru_cache(maxsize=256)
-def _interior_table(alpha: float, xi: float) -> PchipInterpolator:
+def _interior_table(alpha: float, xi: float) -> _InverseCdf:
     """Inverse CDF of the occupation density on the unit ball, start at xi.
 
     Monotone interpolant of v(u) where u is the normalized CDF; built once
@@ -247,7 +304,7 @@ def _interior_table(alpha: float, xi: float) -> PchipInterpolator:
     cdf = np.concatenate([[0.0], np.cumsum(masses)])
     cdf /= cdf[-1]
     cdf, keep = np.unique(cdf, return_index=True)
-    return PchipInterpolator(cdf, grid[keep])
+    return _InverseCdf(PchipInterpolator(cdf, grid[keep]))
 
 
 def sample_interior(

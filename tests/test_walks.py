@@ -16,6 +16,7 @@ from fracsmc.walks import (
     JUMP_LAW_VERBATIM,
     BallGeometry,
     PathFunctionalSpec,
+    _interior_table,
     expected_exit_coeff,
     fixed_radius,
     greens_q,
@@ -141,6 +142,25 @@ class TestOccupation:
                 limit=200,
             )
             assert (pts < edge).mean() == pytest.approx(mass, abs=5e-3)
+
+    @pytest.mark.parametrize("alpha, xi", [(0.02, 0.0), (0.4, 0.0), (1.2, 0.3), (2.0, -0.7)])
+    def test_interior_table_equals_its_pchip_bitwise(self, alpha, xi):
+        table = _interior_table(alpha, xi)
+        x = table.x
+        bins = np.arange(table.GUIDE_BINS) / table.GUIDE_BINS
+        u = np.concatenate([
+            np.random.default_rng(3).uniform(size=200_000),
+            x[:-1], np.nextafter(x[1:], 0.0), np.nextafter(x[:-1], 1.0),
+            bins, np.nextafter(bins[1:], 0.0),
+        ])
+        assert np.array_equal(table(u), table.pchip(u))
+        grid = u[:1000].reshape(50, 20)
+        assert np.array_equal(table(grid), table.pchip(grid))
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-300, np.nan])
+    def test_interior_table_rejects_arguments_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError):
+            _interior_table(0.4, 0.0)(np.array([0.5, bad]))
 
 
 class TestPoissonWalk:
