@@ -17,6 +17,7 @@ from .basis import (
     make_time_grid,
     st_frac_laplacian,
     st_interpolate,
+    st_operator,
     st_time_derivative,
 )
 from .oracles import (

@@ -231,21 +231,32 @@ def st_interpolate(grid: GjfGrid, tgrid: TimeGrid, samples) -> SpaceTimeInterpol
     return SpaceTimeInterpolant(grid=grid, tgrid=tgrid, values=samples, modal=modal)
 
 
-def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
-    """Evaluate at points (x, t); x and t broadcast elementwise."""
+def _eval_st_series(f: SpaceTimeInterpolant, weighted, plain, x, t):
+    """sum_p P_p(x) (w(x) (weighted L(t))_p + (plain L(t))_p) at broadcast (x, t).
+
+    P_p are the Jacobi polynomials of index (alpha/2, alpha/2), w the
+    singular weight (1-x^2)^(alpha/2) and L(t) the column of shifted
+    Legendre polynomials; weighted and plain are (N_x+1, N_t+1) modal
+    matrices (plain may be None).  The Jacobi table is built at x's shape
+    and the Legendre table at t's, so a row of times shared by a batch of
+    paths costs one Legendre row per distinct time.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    x, t = np.broadcast_arrays(x, t)
-    shape = x.shape
-    xf, tf = x.ravel(), t.ravel()
     alpha = f.grid.alpha
-    one_m = 1.0 - xf * xf
+    L = _shifted_legendre(f.tgrid.N_t, t, f.tgrid.T).reshape(f.tgrid.N_t + 1, -1)
+    one_m = 1.0 - x * x
     w = np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
-    P = jacobi_eval_all(f.grid.N_x, JacobiIndex(alpha / 2, alpha / 2), xf)
-    L = _shifted_legendre(f.tgrid.N_t, tf, f.tgrid.T)
-    out = np.einsum("pq,pk,qk->k", f.modal, w * P, L)
-    out = out.reshape(shape)
-    return float(out.item()) if out.ndim == 0 else out
+    P = jacobi_eval_all(f.grid.N_x, JacobiIndex(alpha / 2, alpha / 2), x)
+    out = w * np.einsum("p...,p...->...", P, (weighted @ L).reshape((-1,) + t.shape))
+    if plain is not None:
+        out += np.einsum("p...,p...->...", P, (plain @ L).reshape((-1,) + t.shape))
+    return out
+
+
+def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
+    """Evaluate at points (x, t); x and t broadcast elementwise."""
+    return _eval_st_series(f, f.modal, None, x, t)
 
 
 def st_frac_laplacian(f: SpaceTimeInterpolant) -> np.ndarray:
@@ -266,27 +277,17 @@ def st_time_derivative(f: SpaceTimeInterpolant) -> np.ndarray:
     return out
 
 
-def eval_st_modal(
-    coeffs: np.ndarray,
-    grid: GjfGrid,
-    tgrid: TimeGrid,
-    x,
-    t,
-    spatial_basis: str,
-):
-    """Evaluate a modal matrix against Jacobi ('jacobi') or singular ('gjf') basis."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x, t = np.broadcast_arrays(x, t)
-    shape = x.shape
-    xf, tf = x.ravel(), t.ravel()
-    alpha = grid.alpha
-    P = jacobi_eval_all(coeffs.shape[0] - 1, JacobiIndex(alpha / 2, alpha / 2), xf)
-    if spatial_basis == "gjf":
-        one_m = 1.0 - xf * xf
-        P = P * np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
-    elif spatial_basis != "jacobi":
-        raise ValueError(f"unknown spatial basis {spatial_basis!r}")
-    L = _shifted_legendre(coeffs.shape[1] - 1, tf, tgrid.T)
-    out = np.einsum("pq,pk,qk->k", coeffs, P, L).reshape(shape)
-    return float(out) if out.size == 1 else out
+def st_operator(f: SpaceTimeInterpolant):
+    """u_t + (-Delta)^(alpha/2) u of the interpolant as a callable of (x, t).
+
+    Both modal matrices are built once; each call evaluates one Jacobi
+    table at x and shifted Legendre rows at t (x and t broadcast).
+    """
+    dudt = np.zeros_like(f.modal)
+    dudt[:, :-1] = st_time_derivative(f)
+    flap = st_frac_laplacian(f)
+
+    def apply(x, t):
+        return _eval_st_series(f, dudt, flap, x, t)
+
+    return apply

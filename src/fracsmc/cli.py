@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -70,6 +71,17 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.out:
+            raise ConfigError("out must name a report file")
+
+
+def _check_report_path(path: str) -> None:
+    """Fail before a solve whose report could not be written to path."""
+    if os.path.isdir(path):
+        raise ConfigError(f"report path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"report directory {parent!r} does not exist")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -173,7 +185,11 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
     if not np.all(np.isfinite(sol.node_values)):
         print("error: solver produced non-finite node values", file=sys.stderr)
         return 3
-    write_report(cfg.out, cfg, sol.history, timings)
+    try:
+        write_report(cfg.out, cfg, sol.history, timings)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     last = sol.history[-1]
     print(
         f"{cfg.equation}/{cfg.preset}: {len(sol.history)} sweeps, "
@@ -369,6 +385,7 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "out": args.out}
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
+        _check_report_path(cfg.out)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

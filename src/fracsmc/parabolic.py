@@ -5,7 +5,9 @@ tensor collocation nodes seed a space-time interpolant, and later sweeps
 walk against the residual f - u_t - (-Delta)^(alpha/2) u_k with
 homogeneous exterior and initial data.  Each node (x_i, t_j) gets its own
 fixed-radius walk over [0, t_j] so the subdivision count, not the node,
-fixes the time step.
+fixes the time step.  The residual subtracts u_t + (-Delta)^(alpha/2) u_k
+in one pass (basis.st_operator): one Jacobi table at the path positions,
+and Legendre rows only at the walk's n_sub+1 distinct times.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from .basis import (
     SpaceTimeInterpolant,
     TimeGrid,
     eval_st_interpolant,
-    eval_st_modal,
     make_grid,
     make_time_grid,
-    st_frac_laplacian,
     st_interpolate,
-    st_time_derivative,
+    st_operator,
 )
 from .poisson import IterationReport, run_sweeps
 from .walks import PathFunctionalSpec, parabolic_walks
@@ -73,16 +73,10 @@ class ParabolicSolution:
 
 def st_residual_source(interp: SpaceTimeInterpolant, source):
     """Residual f - u_t - (-Delta)^(alpha/2) u as a callable of (x, t)."""
-    flap = st_frac_laplacian(interp)
-    dudt = st_time_derivative(interp)
-    grid, tgrid = interp.grid, interp.tgrid
+    operator = st_operator(interp)
 
     def resid(x, t):
-        return (
-            source(x, t)
-            - eval_st_modal(dudt, grid, tgrid, x, t, spatial_basis="gjf")
-            - eval_st_modal(flap, grid, tgrid, x, t, spatial_basis="jacobi")
-        )
+        return source(x, t) - operator(x, t)
 
     return resid
 

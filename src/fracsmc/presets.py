@@ -100,22 +100,26 @@ def sin_source_preset(alpha: float, reference_degree: int = 100) -> SteadyPreset
 def _parabolic_from_series(name, alpha, T, smooth, degree):
     """Separable solution u(x,t) = X(x) cos(t) with its matched source."""
     modal = _modal_coefficients(alpha, smooth, degree)
-    lam = frac_diag_factor(np.arange(degree + 1), alpha)
+    flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
+    idx = JacobiIndex(alpha / 2, alpha / 2)
 
     def space(x):
         x = np.asarray(x, dtype=float)
         body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
         return body * eval_jacobi_series(modal, alpha, x)
 
-    def flap(x):
-        return eval_jacobi_series(modal * lam, alpha, x)
-
     def u(x, t):
         return space(x) * np.cos(t)
 
     def f(x, t):
-        # time derivative -X sin(t) plus the fractional Laplacian term
-        return -space(x) * np.sin(t) + flap(x) * np.cos(t)
+        # time derivative -X sin(t) plus the fractional Laplacian term; X and
+        # its fractional Laplacian share one Jacobi table
+        x = np.asarray(x, dtype=float)
+        P = jacobi_eval_all(degree, idx, np.atleast_1d(x).ravel())
+        body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
+        X = body * np.einsum("n,nx->x", modal, P).reshape(x.shape)
+        flap = np.einsum("n,nx->x", flap_modal, P).reshape(x.shape)
+        return -X * np.sin(t) + flap * np.cos(t)
 
     return ParabolicPreset(
         name=name,

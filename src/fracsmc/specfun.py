@@ -57,12 +57,20 @@ def jacobi_eval_all(n_max: int, index: JacobiIndex, x) -> np.ndarray:
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 0.5 * ((a + b + 2) * x + (a - b))
+    # P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, computed in its own row with
+    # the operations in that order; one scratch row replaces the temporaries
+    scratch = np.empty(x.shape)
     for k in range(1, n_max):
         s = 2 * k + a + b
         a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
         a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
         a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
-        out[k + 1] = (a1 * x + a2) * out[k] - a3 * out[k - 1]
+        row = out[k + 1]
+        np.multiply(x, a1, out=row)
+        row += a2
+        row *= out[k]
+        np.multiply(out[k - 1], a3, out=scratch)
+        row -= scratch
     return out
 
 

@@ -80,7 +80,13 @@ class WalkBatch:
 
 @dataclass(frozen=True)
 class PathFunctionalSpec:
-    """Callbacks scored along a walk; all must be numpy-vectorized."""
+    """Callbacks scored along a walk; all must be numpy-vectorized.
+
+    Callbacks receive arrays that broadcast against each other, not arrays
+    of equal shape: parabolic_walks passes the source its positions as
+    (n_paths, n_sub+1) and its times as one (1, n_sub+1) row.  The result
+    must broadcast to the positions' shape.
+    """
 
     source: Callable = None
     exterior: Callable = None
@@ -443,8 +449,8 @@ def parabolic_walks(
         in_prefix = ell[None, :] <= L[:, None]
         # step ell of the backward walk sits at physical time t_n - ell dt;
         # positions past the prefix are masked before evaluation (they can
-        # be outside the domain)
-        targ = np.broadcast_to((n_sub - ell) * dt, (n_paths, n_sub + 1))
+        # be outside the domain); the times are one row shared by all paths
+        targ = ((n_sub - ell) * dt)[None, :]
         pos_safe = np.where(in_prefix, posn, 0.0)
         fv = np.where(in_prefix, spec.source(pos_safe, np.maximum(targ, 0.0)), 0.0)
         weight = np.where(

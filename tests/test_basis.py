@@ -10,7 +10,6 @@ from fracsmc.basis import (
     eval_interpolant,
     eval_jacobi_series,
     eval_st_interpolant,
-    eval_st_modal,
     frac_diag_factor,
     frac_laplacian_modal,
     gjf_eval,
@@ -19,6 +18,7 @@ from fracsmc.basis import (
     make_time_grid,
     st_frac_laplacian,
     st_interpolate,
+    st_operator,
     st_time_derivative,
 )
 
@@ -127,36 +127,73 @@ class TestSpaceTime:
         )
 
     def test_time_derivative_of_cos(self):
+        # u = (1-x^2)^(a/2) (x^2+x+1) cos t: u_t = -(1-x^2)^(a/2) (x^2+x+1)
+        # sin t, and the fractional Laplacian maps the smooth factor's Jacobi
+        # coefficients c_n to c_n Gamma(n+a+1)/n! times cos t
+        from scipy.special import eval_jacobi
+
         alpha, T = 0.6, 0.5
         grid = make_grid(alpha, 2)
         tgrid = make_time_grid(T, 10)
         u = lambda x, t: u_poly(alpha)(x) * np.cos(t)
         X, TT = np.meshgrid(grid.nodes, tgrid.nodes, indexing="ij")
-        interp = st_interpolate(grid, tgrid, u(X, TT))
-        dudt = st_time_derivative(interp)
+        operator = st_operator(st_interpolate(grid, tgrid, u(X, TT)))
+        a = alpha / 2
+        fit_x = np.array([-0.5, 0.1, 0.8])
+        jac = lambda x: np.array([eval_jacobi(n, a, a, x) for n in range(3)])
+        c = np.linalg.solve(jac(fit_x).T, fit_x * fit_x + fit_x + 1.0)
         xs = np.array([-0.5, 0.2, 0.7])
+        flap_x = (c * frac_diag_factor(np.arange(3), alpha)) @ jac(xs)
         for t in (0.1, 0.3, 0.45):
-            got = eval_st_modal(dudt, grid, tgrid, xs, t, spatial_basis="gjf")
-            want = -u_poly(alpha)(xs) * np.sin(t)
-            np.testing.assert_allclose(got, want, atol=1e-9)
+            want = -u_poly(alpha)(xs) * np.sin(t) + flap_x * np.cos(t)
+            np.testing.assert_allclose(operator(xs, t), want, atol=1e-9)
 
     def test_st_frac_laplacian_diagonal(self):
+        # u = (1-x^2)^(a/2) P_2(x) (1 + t): u_t = (1-x^2)^(a/2) P_2(x) and the
+        # fractional Laplacian is Gamma(3+a)/2! P_2(x) (1 + t)
+        from scipy.special import eval_jacobi
+
         alpha, T = 1.2, 0.5
         grid = make_grid(alpha, 3)
         tgrid = make_time_grid(T, 4)
         X, TT = np.meshgrid(grid.nodes, tgrid.nodes, indexing="ij")
         u = lambda x, t: gjf_eval(2, alpha, x) * (1 + t)
-        interp = st_interpolate(grid, tgrid, u(X, TT))
-        flap = st_frac_laplacian(interp)
+        operator = st_operator(st_interpolate(grid, tgrid, u(X, TT)))
         xs = np.array([0.15, -0.4])
-        from scipy.special import eval_jacobi
-
+        p2 = eval_jacobi(2, alpha / 2, alpha / 2, xs)
         for t in (0.1, 0.4):
-            want = frac_diag_factor(2, alpha) * eval_jacobi(
-                2, alpha / 2, alpha / 2, xs
-            ) * (1 + t)
-            got = eval_st_modal(flap, grid, tgrid, xs, t, spatial_basis="jacobi")
-            np.testing.assert_allclose(got, want, rtol=1e-10)
+            want = gjf_eval(2, alpha, xs) + frac_diag_factor(2, alpha) * p2 * (1 + t)
+            np.testing.assert_allclose(operator(xs, t), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("layout", ["full", "row_of_times", "scalars"])
+    def test_operator_equals_two_term_form(self, layout):
+        # u_t + (-Delta)^(a/2) u from one call equals the two modal matrices
+        # evaluated apart, against scipy's Jacobi and Legendre polynomials
+        from scipy.special import eval_jacobi, eval_legendre
+
+        alpha, T, n_x, n_t = 0.7, 0.8, 5, 4
+        grid = make_grid(alpha, n_x)
+        tgrid = make_time_grid(T, n_t)
+        rng = np.random.default_rng(11)
+        interp = st_interpolate(grid, tgrid, rng.normal(size=(n_x + 1, n_t + 1)))
+        if layout == "full":
+            x = rng.uniform(-1, 1, (6, 9))
+            t = rng.uniform(0, T, (6, 9))
+        elif layout == "row_of_times":
+            x = rng.uniform(-1, 1, (6, 9))
+            t = np.linspace(0, T, 9)[None, :]
+        else:
+            x, t = 0.37, 0.21
+        xb, tb = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+        a = alpha / 2
+        P = np.array([eval_jacobi(p, a, a, xb) for p in range(n_x + 1)])
+        L = np.array([eval_legendre(q, 2 * tb / T - 1) for q in range(n_t + 1)])
+        w = (1 - xb * xb) ** a
+        want = np.einsum("pq,p...,q...->...", st_time_derivative(interp), w * P, L[:n_t])
+        want += np.einsum("pq,p...,q...->...", st_frac_laplacian(interp), P, L)
+        got = st_operator(interp)(x, t)
+        assert np.shape(got) == np.atleast_1d(want).shape
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_time_derivative_requires_positive_degree(self):
         grid = make_grid(0.5, 1)

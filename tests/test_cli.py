@@ -185,6 +185,50 @@ class TestMainExitCodes:
         assert main(["run", self._write(tmp_path, text)]) == 2
         assert not out.exists()
 
+    @staticmethod
+    def _forbid_solving(monkeypatch):
+        import fracsmc.cli as cli
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solved although the report cannot be written")
+
+        monkeypatch.setattr(cli, "smc_solve", solve)
+
+    def test_missing_report_directory_exits_2_before_solving(self, tmp_path, monkeypatch):
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "nope" / "r.csv"
+        assert main(["run", self._write(tmp_path, GOOD), "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_empty_out_exits_2_before_solving(self, tmp_path, monkeypatch):
+        self._forbid_solving(monkeypatch)
+        assert main(["run", self._write(tmp_path, GOOD + "out =\n")]) == 2
+
+    def test_directory_as_out_exits_2_before_solving(self, tmp_path, monkeypatch):
+        self._forbid_solving(monkeypatch)
+        assert main(["run", self._write(tmp_path, GOOD + f"out = {tmp_path}\n")]) == 2
+
+    def test_report_write_failure_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # the report directory vanishes while the solve runs
+        import shutil
+
+        import fracsmc.cli as cli
+
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        solve = cli.smc_solve
+
+        def solve_then_remove(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            shutil.rmtree(out_dir)
+            return sol
+
+        monkeypatch.setattr(cli, "smc_solve", solve_then_remove)
+        cfg = self._write(tmp_path, GOOD + f"out = {out_dir / 'r.csv'}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

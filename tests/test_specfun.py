@@ -35,6 +35,22 @@ class TestJacobi:
                 allrows[n], eval_jacobi(n, idx.a, idx.b, x), rtol=1e-13, atol=1e-13
             )
 
+    @pytest.mark.parametrize("idx", INDICES + [JacobiIndex(0.0, 0.0), JacobiIndex(-0.5, 0.95)])
+    def test_eval_all_equals_plain_recurrence_bitwise(self, idx):
+        # the in-place rows must equal the textbook recurrence bit for bit
+        a, b = idx.a, idx.b
+        x = np.linspace(-1, 1, 37).reshape(1, 37) * np.array([[1.0], [0.5]])
+        n_max = 100
+        want = [np.ones_like(x), 0.5 * ((a + b + 2) * x + (a - b))]
+        for k in range(1, n_max):
+            s = 2 * k + a + b
+            a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
+            a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
+            a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
+            want.append((a1 * x + a2) * want[k] - a3 * want[k - 1])
+        for n in (0, 1, 2, 7, n_max):
+            np.testing.assert_array_equal(jacobi_eval_all(n, idx, x), np.array(want[: n + 1]))
+
 
 class TestJacobiGauss:
     @pytest.mark.parametrize("idx", INDICES)

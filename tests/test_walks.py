@@ -207,6 +207,24 @@ class TestParabolicWalk:
         dt = t_n / n_sub
         np.testing.assert_allclose(batch.scores, batch.steps * dt, atol=1e-14)
 
+    def test_source_gets_one_row_of_times(self):
+        # the times are one (1, n_sub+1) row shared by every path; a source
+        # that ignores x must score the same as one broadcast against x
+        n_sub, n = 16, 500
+        seen = []
+
+        def time_only(x, t):
+            seen.append((np.shape(x), np.shape(t)))
+            return np.cos(t)
+
+        a = parabolic_walks(0.1, 0.4, n_sub, PathFunctionalSpec(source=time_only),
+                            0.9, RngStream(4), n)
+        b = parabolic_walks(0.1, 0.4, n_sub,
+                            PathFunctionalSpec(source=lambda x, t: np.cos(t) + 0 * x),
+                            0.9, RngStream(4), n)
+        assert seen == [((n, n_sub + 1), (1, n_sub + 1))]
+        np.testing.assert_array_equal(a.scores, b.scores)
+
     def test_never_exited_paths_use_full_horizon(self):
         spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
         batch = parabolic_walks(0.0, 0.2, 8, spec, 0.5, RngStream(9), 4_000)
