@@ -137,18 +137,17 @@ def interpolate(grid: GjfGrid, samples) -> Interpolant1D:
 def eval_interpolant(f: Interpolant1D, x):
     """Evaluate at x in [-1, 1]; returns 0 at the endpoints."""
     grid = f.grid
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = lagrange_cardinal(grid.nodes, x)  # (j, x)
-    one_m = 1.0 - x * x
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    h = lagrange_cardinal(grid.nodes, flat)  # (j, x)
+    one_m = 1.0 - flat * flat
     ratio = np.where(
         one_m[None, :] > 0,
         (np.abs(one_m)[None, :] / (1.0 - grid.nodes[:, None] ** 2)) ** (grid.alpha / 2),
         0.0,
     )
     out = np.einsum("j,jx->x", f.values, ratio * h)
-    return float(out[0]) if out.size == 1 and np.ndim(x) else (
-        float(out) if out.ndim == 0 else out
-    )
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def frac_laplacian_modal(f: Interpolant1D) -> np.ndarray:

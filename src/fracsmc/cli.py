@@ -42,7 +42,7 @@ class ExperimentConfig:
     n_t: int = 0
     t_final: float = 0.0
     n_sub: int = 64
-    m1: int = 32
+    m1: int = 32  # Poisson occupation-rule nodes, >= ceil((n_x+1)/2)
     k_max: int = 60
     tol: float = 1e-12
     seed: int = 0
@@ -62,6 +62,10 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.n_x < 1 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
             raise ConfigError("n_x, m, m1, k_max must be positive")
+        if self.equation == "poisson" and self.m1 < (self.n_x + 2) // 2:
+            raise ConfigError(
+                f"m1 = {self.m1} is below ceil((n_x+1)/2) = {(self.n_x + 2) // 2}"
+            )
         if self.equation == "parabolic":
             if self.n_t < 1 or not 0 < self.t_final < math.inf or self.n_sub < 1:
                 raise ConfigError(
@@ -380,13 +384,13 @@ def main(argv=None) -> int:
         return run_validate(args.suite, args.seed)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         overrides = {"seed": args.seed, "out": args.out}
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
         _check_report_path(cfg.out)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -41,6 +41,8 @@ class PoissonConfig:
     seed: int = 0
     k_max: int = 60
     tol: float = 1e-12
+    # nodes of the occupation rule; below ceil((n_x+1)/2) it is not exact on
+    # the degree-n_x residual, and the iteration diverges
     inner_samples: int = 32
 
     def validate(self) -> None:
@@ -48,6 +50,8 @@ class PoissonConfig:
             raise ValueError("alpha must lie in (0, 2]")
         if self.n_x < 1 or self.n_walks < 1 or self.k_max < 1:
             raise ValueError("n_x, n_walks and k_max must be positive")
+        if self.inner_samples < (self.n_x + 2) // 2:
+            raise ValueError("inner_samples must be at least ceil((n_x+1)/2)")
 
 
 @dataclass(frozen=True)

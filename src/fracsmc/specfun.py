@@ -106,14 +106,15 @@ def jacobi_gauss(N: int, index: JacobiIndex) -> QuadratureRule:
     else:
         k = np.arange(n, dtype=float)
         s = 2 * k + a + b
+        j, sj = k[1:], s[1:]
         with np.errstate(invalid="ignore", divide="ignore"):
             diag = (b * b - a * a) / (s * (s + 2))
+            off = np.sqrt(4 * j * (j + a) * (j + b) * (j + a + b) / (sj * sj * (sj * sj - 1)))
         diag[np.isnan(diag) | np.isinf(diag)] = 0.0
         if a + b == 0:
             diag[0] = (b - a) / (a + b + 2)
-        j = np.arange(1, n, dtype=float)
-        sj = 2 * j + a + b
-        off = np.sqrt(4 * j * (j + a) * (j + b) * (j + a + b) / (sj * sj * (sj * sj - 1)))
+        if a + b == -1:  # the j = 1 entry is 0/0 there; this is its limit
+            off[0] = np.sqrt(4 * (1 + a) * (1 + b) / ((a + b + 2) ** 2 * (a + b + 3)))
         nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         weights = mu0 * vecs[0, :] ** 2
     if a == b:

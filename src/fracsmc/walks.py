@@ -1,9 +1,14 @@
 """Stochastic kernels on the interval (-1, 1).
 
 Walk-on-spheres for the fractional Poisson problem (inscribed balls, exact
-ball-exit jump law, occupation-weighted source sampling) and the
-fixed-radius walk for the parabolic problem with a trapezoid source
-functional along the path.
+ball-exit jump law, occupation-weighted source term) and the fixed-radius
+walk for the parabolic problem with a trapezoid source functional along
+the path.
+
+Occupation law: the normalized Green's function of the unit ball, seen
+from its center, is the law of Y = S V with S^2 ~ Beta(1/2, a/2), a
+symmetric sign, and V = U^(1/a).  poisson_walks averages the source under
+it by a Gauss rule (occupation_rule) and draws no random numbers for it.
 
 Jump law: the ball-exit distance of the symmetric stable process started
 at the ball center is exactly J = r W^(-1/2) with W ~ Beta(a/2, 1-a/2)
@@ -23,10 +28,9 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 
 from .rng import RngStream
-from .specfun import DomainError
+from .specfun import DomainError, JacobiIndex, jacobi_gauss
 
 JUMP_LAW_EXIT = "exit_law"
 JUMP_LAW_VERBATIM = "verbatim"
@@ -91,7 +95,7 @@ class PathFunctionalSpec:
     source: Callable = None
     exterior: Callable = None
     initial: Callable = None
-    inner_samples: int = 32
+    inner_samples: int = 32  # nodes n of the occupation rule, exact to degree 2n-1
 
 
 def expected_exit_coeff(alpha: float, d: int = 1) -> float:
@@ -218,116 +222,53 @@ def sample_direction_1d(rng: np.random.Generator, size=None):
 
 
 # ---------------------------------------------------------------------------
-# interior resampling from the normalized occupation density
+# the occupation law at the ball center
 
 
-class _InverseCdf:
-    """A PchipInterpolator on [0, 1], evaluated faster with the same result.
+@lru_cache(maxsize=64)
+def occupation_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule (nodes, weights) for the occupation law Y = S V.
 
-    For u in [0, 1) the values are bit-for-bit those of the interpolant:
-    the same interval (x[i] <= u < x[i+1]) and the same power sums as
-    scipy's PPoly evaluation.  The interval of u is read from a guide
-    table over bins of width 1/GUIDE_BINS when no knot falls inside u's
-    bin; only the points of the other bins are binary-searched.
+    S has density ~ (1-s^2)^(alpha/2-1) on (-1, 1), V density alpha
+    v^(alpha-1) on (0, 1); the tensor product of their (n+1)-point Jacobi
+    rules has the moments of Y to degree 2n+1, and the discretized
+    Stieltjes procedure on it gives the Jacobi matrix of Y.  The weights
+    sum to 1; the rule is exact to degree 2n-1.
     """
-
-    GUIDE_BINS = 1 << 14
-    CHUNK = 1 << 13
-
-    def __init__(self, pchip: PchipInterpolator):
-        x = np.ascontiguousarray(pchip.x, dtype=float)
-        if not (x[0] == 0.0 and x[-1] == 1.0):
-            raise ValueError("inverse CDF knots must span [0, 1]")
-        self.pchip = pchip  # the reference the tests compare against
-        self.x = x
-        # per interval: left knot, then the PPoly coefficients from the
-        # constant term up
-        self.cols = tuple(
-            np.ascontiguousarray(col, dtype=float) for col in (x[:-1], *pchip.c[::-1])
-        )
-        edges = np.arange(self.GUIDE_BINS + 1) / self.GUIDE_BINS
-        first = np.searchsorted(x, edges[:-1], side="right") - 1
-        last = np.searchsorted(x, edges[1:], side="left") - 1
-        # interval of every u in the bin, or -1 where a knot splits the bin
-        self.guide = np.where(last == first, first, -1)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        flat = u.ravel()
-        if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < 1.0):
-            raise DomainError("inverse CDF arguments must lie in [0, 1)")
-        out = np.empty_like(flat)
-        # in chunks, so that the temporaries of a wide call stay small
-        for lo in range(0, len(flat), self.CHUNK):
-            self._fill(flat[lo : lo + self.CHUNK], out[lo : lo + self.CHUNK])
-        return out.reshape(u.shape)
-
-    def _fill(self, u, out):
-        i = self.guide[(u * self.GUIDE_BINS).astype(np.intp)]
-        slow = i < 0
-        if slow.any():
-            i[slow] = np.searchsorted(self.x, u[slow], side="right") - 1
-        x0, c0, c1, c2, c3 = (col.take(i) for col in self.cols)
-        s = u - x0
-        s2 = s * s
-        # scipy's order, lowest power first; c1 s + c0 equals c0 + c1 s
-        # bit for bit, as floating-point addition commutes
-        np.multiply(c1, s, out=out)
-        out += c0
-        out += c2 * s2
-        out += c3 * (s2 * s)
-
-
-@lru_cache(maxsize=256)
-def _interior_table(alpha: float, xi: float) -> _InverseCdf:
-    """Inverse CDF of the occupation density on the unit ball, start at xi.
-
-    Monotone interpolant of v(u) where u is the normalized CDF; built once
-    per (alpha, relative start point) and cached.  The walk only needs
-    xi = 0 (balls are centered at the current location).
-    """
-    # graded grid: clustered at the singular point xi and both endpoints
-    span_l, span_r = xi + 1.0, 1.0 - xi
-    tiny = 1e-10
-    left = xi - span_l * (1 - tiny) * np.linspace(0, 1, 400) ** 2
-    right = xi + span_r * (1 - tiny) * np.linspace(0, 1, 400) ** 2
-    near = xi + np.concatenate(
-        [-np.geomspace(1e-12, min(span_l, span_r) * 0.5, 120),
-         np.geomspace(1e-12, min(span_l, span_r) * 0.5, 120)]
-    )
-    grid = np.unique(np.concatenate([left, right, near]))
-    grid = grid[(grid > -1 + tiny / 2) & (grid < 1 - tiny / 2)]
-
-    def dens(v):
-        return greens_q(xi, v, 1.0, alpha)
-
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
-    masses = np.empty(len(grid) - 1)
-    for k in range(len(grid) - 1):
-        a, b = grid[k], grid[k + 1]
-        vv = 0.5 * (b - a) * gl_nodes + 0.5 * (a + b)
-        masses[k] = 0.5 * (b - a) * np.dot(gl_weights, dens(vv))
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    cdf /= cdf[-1]
-    cdf, keep = np.unique(cdf, return_index=True)
-    return _InverseCdf(PchipInterpolator(cdf, grid[keep]))
+    if n < 1:
+        raise DomainError(f"occupation_rule needs n >= 1, got {n}")
+    s = jacobi_gauss(n, JacobiIndex(alpha / 2 - 1, alpha / 2 - 1))
+    v = jacobi_gauss(n, JacobiIndex(0.0, alpha - 1))
+    y = np.outer(s.nodes, 0.5 * (1.0 + v.nodes)).ravel()
+    w = np.outer(s.weights, v.weights).ravel()
+    w /= w.sum()
+    # orthonormal three-term recurrence p_{k+1} b_k = y p_k - b_{k-1} p_{k-1};
+    # Y is symmetric, so the recurrence has no diagonal term
+    b = np.empty(n - 1)
+    p_prev, p = np.zeros_like(y), np.ones_like(y)
+    for k in range(n - 1):
+        q = y * p - (b[k - 1] * p_prev if k else 0.0)
+        b[k] = np.sqrt(np.dot(w, q * q))
+        p_prev, p = p, q / b[k]
+    nodes, vecs = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    weights = vecs[0] ** 2
+    # exact mirror symmetry, as in jacobi_gauss
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
 
 
 def sample_interior(
-    x: float,
-    geom: BallGeometry,
-    alpha: float,
-    rng: np.random.Generator,
-    size=None,
+    x: float, geom: BallGeometry, alpha: float, rng: np.random.Generator, size=None
 ) -> np.ndarray | float:
-    """Sample points inside the ball with the normalized occupation density."""
-    xi = (x - geom.center) / geom.radius
-    if abs(xi) >= 1:
-        raise DomainError("sample_interior requires x inside the ball")
-    table = _interior_table(alpha, round(xi, 12))
-    u = rng.uniform(size=size)
-    v = table(u)
-    out = geom.center + geom.radius * v
+    """Exact draws of the occupation law of the ball, started at its center x.
+
+    Y = S V with S = +-sqrt(Beta(1/2, alpha/2)) and V = U^(1/alpha).
+    """
+    if x != geom.center:
+        raise DomainError("sample_interior starts at the ball center only")
+    s = np.sqrt(rng.beta(0.5, alpha / 2, size=size))
+    s = s * sample_direction_1d(rng, size=size)
+    v = rng.uniform(size=size) ** (1.0 / alpha)
+    out = geom.center + geom.radius * (s * v)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -353,9 +294,9 @@ def poisson_walks(
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     rng = stream.generator()
-    m1 = spec.inner_samples
     f, g = spec.source, spec.exterior
-    table = _interior_table(alpha, 0.0) if f is not None else None
+    if f is not None:
+        nodes, weights = occupation_rule(alpha, spec.inner_samples)
 
     pos = np.full(n_paths, float(x0))
     scores = np.zeros(n_paths)
@@ -370,11 +311,11 @@ def poisson_walks(
         idx = np.nonzero(active)[0]
         x = pos[idx]
         r = 1.0 - np.abs(x)
-        # source term: occupation weight times the inner sample mean
+        # source term: occupation weight times the mean of f under the
+        # occupation law of the ball, by the Gauss rule for that law
         if f is not None:
-            u = rng.uniform(size=(len(idx), m1))
-            y = x[:, None] + r[:, None] * np.asarray(table(u))
-            scores[idx] += (r**alpha / gamma1a) * np.mean(f(y), axis=1)
+            y = x[:, None] + r[:, None] * nodes
+            scores[idx] += (r**alpha / gamma1a) * (f(y) @ weights)
         # ball exit
         if alpha == 2:
             jump = r

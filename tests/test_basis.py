@@ -60,6 +60,20 @@ class TestInterpolation:
             eval_interpolant(interp, grid.nodes), vals, rtol=1e-12
         )
 
+    def test_output_shape_follows_input_shape(self):
+        alpha = 1.2
+        grid = make_grid(alpha, 2)
+        u = u_poly(alpha)
+        interp = interpolate(grid, u(grid.nodes))
+        scalar = eval_interpolant(interp, np.float64(0.3))
+        assert isinstance(scalar, float) and scalar == pytest.approx(u(0.3), abs=1e-12)
+        one = eval_interpolant(interp, np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        xs = np.linspace(-1, 1, 28).reshape(4, 7)
+        got = eval_interpolant(interp, xs)
+        assert got.shape == (4, 7)
+        np.testing.assert_allclose(got, u(xs), rtol=0, atol=1e-12)
+
     def test_shape_mismatch_raises(self):
         grid = make_grid(0.5, 3)
         with pytest.raises(ContractError):

@@ -229,6 +229,32 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
+    def test_rule_too_small_for_degree_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        # m1 counts the occupation rule's nodes; below ceil((n_x+1)/2) the
+        # rule is not exact on the residual and the iteration diverges
+        self._forbid_solving(monkeypatch)
+        text = GOOD.replace("n_x = 2", "n_x = 8") + "m1 = 4\n"
+        assert main(["run", self._write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m1 = 4") and err.count("\n") == 1
+
+    def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"equation = poisson\npreset = \xff\xfe\n")
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+    def test_vanishing_alpha_is_a_numerical_failure(self, tmp_path, capsys):
+        # alpha = 1e-300 passes the config check, but alpha/2 - 1 rounds to
+        # -1, outside the Jacobi weights of the occupation rule
+        out = tmp_path / "r.csv"
+        text = GOOD.replace("alpha = 0.6", "alpha = 1e-300") + f"out = {out}\n"
+        assert main(["run", self._write(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert "Jacobi indices must exceed -1" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

@@ -60,6 +60,22 @@ class TestSmcSolve:
         xs = np.linspace(-0.9, 0.9, 7)
         np.testing.assert_allclose(sol(xs), pre.solution(xs), atol=1e-8)
 
+    def test_callable_solution_keeps_input_shape(self):
+        pre = poly_preset(1.0)
+        cfg = PoissonConfig(alpha=1.0, n_x=2, n_walks=20, seed=4, k_max=2)
+        sol = smc_solve(cfg, pre.source)
+        xs = np.linspace(-0.9, 0.9, 28)
+        np.testing.assert_array_equal(sol(xs.reshape(4, 7)), sol(xs).reshape(4, 7))
+        assert sol(xs[:1]).shape == (1,)
+        assert isinstance(sol(0.2), float)
+
+    def test_rule_smaller_than_the_residual_degree_rejected(self):
+        # the occupation rule must be exact on degree n_x: inner_samples
+        # >= ceil((n_x+1)/2)
+        PoissonConfig(alpha=1.2, n_x=8, n_walks=10, inner_samples=5).validate()
+        with pytest.raises(ValueError, match="inner_samples"):
+            PoissonConfig(alpha=1.2, n_x=8, n_walks=10, inner_samples=4).validate()
+
 
 class TestResidualSource:
     def test_vanishes_for_exact_nodal_values(self):

@@ -90,6 +90,17 @@ class TestJacobiGauss:
         with pytest.raises(DomainError):
             jacobi_gauss(-1, JacobiIndex(0.2, 0.2))
 
+    @pytest.mark.parametrize("N", [1, 4, 31])
+    def test_chebyshev_rule_where_a_plus_b_is_minus_one(self, N):
+        # at a + b = -1 the first off-diagonal entry is 0/0 in the generic
+        # formula; the Gauss-Chebyshev rule is known in closed form
+        rule = jacobi_gauss(N, JacobiIndex(-0.5, -0.5))
+        k = np.arange(N + 1)
+        np.testing.assert_allclose(
+            rule.nodes, np.sort(np.cos((2 * k + 1) * np.pi / (2 * N + 2))), atol=1e-14
+        )
+        np.testing.assert_allclose(rule.weights, np.pi / (N + 1), rtol=1e-13)
+
 
 class TestLegendre:
     @pytest.mark.parametrize("n", [0, 1, 3, 8])

@@ -16,10 +16,10 @@ from fracsmc.walks import (
     JUMP_LAW_VERBATIM,
     BallGeometry,
     PathFunctionalSpec,
-    _interior_table,
     expected_exit_coeff,
     fixed_radius,
     greens_q,
+    occupation_rule,
     occupation_zeta,
     parabolic_walks,
     poisson_walks,
@@ -125,42 +125,70 @@ class TestOccupation:
             greens_q(0.2, 0.2, 1.0, 0.8)
 
     def test_interior_sampler_histogram_matches_density(self):
-        alpha = 1.2
-        geom = BallGeometry(center=0.0, radius=1.0)
-        rng = np.random.default_rng(7)
-        pts = sample_interior(0.0, geom, alpha, rng, size=200_000)
-        zeta = zeta_closed(0.0, 1.0, alpha)
-        # compare empirical CDF with the normalized Green's function mass
+        # the reference mass of (0, e) is the quadrature of greens_q after
+        # y = s^(1/alpha), which takes out the |y|^(alpha-1) singularity at
+        # the center; the law is symmetric, so P(Y < e) = 1/2 + P(0 < Y < e)
         from scipy.integrate import quad
 
-        for edge in (-0.5, 0.0, 0.4):
-            mass, _ = quad(
-                lambda y: greens_q(0.0, y, 1.0, alpha) / zeta,
-                -1,
-                edge,
-                points=[0.0] if edge > 0 else None,
-                limit=200,
-            )
-            assert (pts < edge).mean() == pytest.approx(mass, abs=5e-3)
+        geom = BallGeometry(center=0.0, radius=1.0)
+        for alpha in (0.05, 1.2):
+            zeta = zeta_closed(0.0, 1.0, alpha)
+            rng = np.random.default_rng(7)
+            pts = sample_interior(0.0, geom, alpha, rng, size=200_000)
+            for edge in (-0.5, -1e-8, 0.0, 1e-8, 0.4):
+                mass, _ = quad(
+                    lambda s: greens_q(0.0, s ** (1 / alpha), 1.0, alpha)
+                    * s ** (1 / alpha - 1) / (alpha * zeta),
+                    0.0,
+                    abs(edge) ** alpha,
+                    limit=200,
+                )
+                want = 0.5 + np.sign(edge) * mass
+                assert (pts < edge).mean() == pytest.approx(want, abs=5e-3), (alpha, edge)
 
-    @pytest.mark.parametrize("alpha, xi", [(0.02, 0.0), (0.4, 0.0), (1.2, 0.3), (2.0, -0.7)])
-    def test_interior_table_equals_its_pchip_bitwise(self, alpha, xi):
-        table = _interior_table(alpha, xi)
-        x = table.x
-        bins = np.arange(table.GUIDE_BINS) / table.GUIDE_BINS
-        u = np.concatenate([
-            np.random.default_rng(3).uniform(size=200_000),
-            x[:-1], np.nextafter(x[1:], 0.0), np.nextafter(x[:-1], 1.0),
-            bins, np.nextafter(bins[1:], 0.0),
-        ])
-        assert np.array_equal(table(u), table.pchip(u))
-        grid = u[:1000].reshape(50, 20)
-        assert np.array_equal(table(grid), table.pchip(grid))
-
-    @pytest.mark.parametrize("bad", [1.0, -1e-300, np.nan])
-    def test_interior_table_rejects_arguments_outside_unit_interval(self, bad):
+    def test_interior_sampler_starts_at_the_center_only(self):
+        geom = BallGeometry(center=0.1, radius=0.5)
         with pytest.raises(DomainError):
-            _interior_table(0.4, 0.0)(np.array([0.5, bad]))
+            sample_interior(0.2, geom, 1.0, np.random.default_rng(0))
+        assert abs(sample_interior(0.1, geom, 1.0, np.random.default_rng(0)) - 0.1) < 0.5
+
+
+def occupation_even_moment(alpha, k):
+    """E[Y^(2k)] = E[S^(2k)] E[V^(2k)] for the occupation law Y = S V."""
+    out = alpha / (alpha + 2 * k)
+    for j in range(k):
+        out *= (0.5 + j) / (0.5 + alpha / 2 + j)
+    return out
+
+
+class TestOccupationRule:
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_moments_match_closed_form(self, alpha, n):
+        nodes, weights = occupation_rule(alpha, n)
+        assert len(nodes) == n and np.all(weights > 0)
+        assert np.all(np.abs(nodes) < 1)
+        assert abs(weights.sum() - 1) < 1e-15
+        # an n-point Gauss rule is exact up to degree 2n-1
+        for k in range(n):
+            want = occupation_even_moment(alpha, k)
+            assert np.dot(weights, nodes ** (2 * k)) == pytest.approx(want, rel=1e-12)
+            assert abs(np.dot(weights, nodes ** (2 * k + 1))) < 1e-15
+
+    def test_rule_agrees_with_exact_draws(self):
+        # the mean of a smooth function under the rule and under the exact
+        # sampler, which share no code
+        alpha, n = 0.7, 200_000
+        nodes, weights = occupation_rule(alpha, 8)
+        pts = sample_interior(0.0, BallGeometry(0.0, 1.0), alpha,
+                              np.random.default_rng(5), size=n)
+        f = lambda y: np.exp(y) + np.cos(3 * y)
+        se = f(pts).std() / np.sqrt(n)
+        assert abs(f(pts).mean() - np.dot(weights, f(nodes))) < 4 * se
+
+    def test_rejects_empty_rule(self):
+        with pytest.raises(DomainError):
+            occupation_rule(1.0, 0)
 
 
 class TestPoissonWalk:
@@ -174,6 +202,16 @@ class TestPoissonWalk:
         want = zeta_closed(0.5, 1.0, alpha)
         se = batch.scores.std() / np.sqrt(len(batch.scores))
         assert batch.mean_score() == pytest.approx(want, abs=3 * se)
+
+    def test_source_draws_no_random_numbers(self):
+        # the source term is a fixed rule, so the paths do not depend on it
+        g = lambda x: np.zeros_like(x)
+        a = poisson_walks(0.3, PathFunctionalSpec(source=None, exterior=g),
+                          0.8, RngStream(3), 2_000)
+        b = poisson_walks(0.3, PathFunctionalSpec(source=np.cos, exterior=g),
+                          0.8, RngStream(3), 2_000)
+        np.testing.assert_array_equal(a.exit_points, b.exit_points)
+        assert np.all(b.scores > 0)
 
     def test_exterior_only_walk_scores_g_at_exit(self):
         g = lambda x: np.abs(x)
