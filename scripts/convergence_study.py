@@ -1,8 +1,9 @@
 """Sup-error of the steady solver vs spatial resolution, f = sin.
 
 Prints one row per (alpha, n_x) with the error against the Galerkin
-reference at N = 100.  Spectral decay down to the iteration floor is the
-expected picture.
+reference at N = 100, with the sweep count and why the solve stopped
+(``stalled`` once the updates are walk noise at the resolution floor).
+Spectral decay down to the iteration floor is the expected picture.
 """
 
 import argparse
@@ -22,7 +23,7 @@ def main() -> None:
     args = ap.parse_args()
 
     xs = np.linspace(-0.99, 0.99, 201)
-    print("alpha  n_x  sweeps  e_inf")
+    print("alpha  n_x  sweeps  stop     e_inf")
     for alpha in args.alphas:
         ref = galerkin_solve(np.sin, alpha, 100)
         for n_x in args.n_x:
@@ -32,7 +33,10 @@ def main() -> None:
             )
             sol = smc_solve(cfg, np.sin)
             err = np.max(np.abs(sol(xs) - ref(xs)))
-            print(f"{alpha:<6g} {n_x:<4d} {len(sol.history):<7d} {err:.3e}")
+            print(
+                f"{alpha:<6g} {n_x:<4d} {len(sol.history):<7d} "
+                f"{sol.stop_reason:<8s} {err:.3e}"
+            )
 
 
 if __name__ == "__main__":

@@ -60,6 +60,11 @@ class ExperimentConfig:
         # comparisons are written so that NaN fails them
         if not 0 < self.alpha <= 2:
             raise ConfigError(f"alpha must be in (0, 2], got {self.alpha}")
+        if self.equation == "poisson" and self.alpha / 2 - 1 == -1:
+            raise ConfigError(
+                f"alpha = {self.alpha} is too small: alpha/2 - 1 rounds to -1, "
+                "outside the occupation rule's Jacobi weights"
+            )
         if self.n_x < 1 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
             raise ConfigError("n_x, m, m1, k_max must be positive")
         if self.equation == "poisson" and self.m1 < (self.n_x + 2) // 2:
@@ -139,12 +144,16 @@ def fmt(x: float) -> str:
 
 
 def write_report(path: str, cfg: ExperimentConfig, history, timings: bool) -> None:
-    lines = [config_echo(cfg), "k,max_update,e_inf,capped_path_rate,elapsed_ms"]
+    lines = [
+        config_echo(cfg),
+        "k,max_update,se,e_inf,capped_path_rate,mean_steps,max_steps,elapsed_ms",
+    ]
     for h in history:
         e_inf = "" if np.isnan(h.e_inf) else fmt(h.e_inf)
         ms = fmt(h.elapsed_ms) if timings else ""
         lines.append(
-            f"{h.k},{fmt(h.max_update)},{e_inf},{fmt(h.capped_rate)},{ms}"
+            f"{h.k},{fmt(h.max_update)},{fmt(h.se)},{e_inf},{fmt(h.capped_rate)},"
+            f"{fmt(h.mean_steps)},{h.max_steps},{ms}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -195,8 +204,10 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
     last = sol.history[-1]
+    hint = "; resolution-limited: raise n_x/n_t" if sol.stop_reason == "stalled" else ""
     print(
-        f"{cfg.equation}/{cfg.preset}: {len(sol.history)} sweeps, "
+        f"{cfg.equation}/{cfg.preset}: {len(sol.history)} sweeps "
+        f"(stopped by {sol.stop_reason}{hint}), "
         f"final max_update={last.max_update:.3e}, e_inf={last.e_inf:.3e} "
         f"-> {cfg.out}"
     )

@@ -65,7 +65,8 @@ class ParabolicSolution:
     node_values: np.ndarray = field(repr=False)
     interpolant: SpaceTimeInterpolant = field(repr=False)
     history: tuple[IterationReport, ...]
-    converged: bool
+    converged: bool  # stopped by tol
+    stop_reason: str  # "tol", "stalled" or "k_max"
 
     def __call__(self, x, t):
         return eval_st_interpolant(self.interpolant, x, t)
@@ -126,7 +127,7 @@ def stsmc_solve(
         np.concatenate([nx.ravel(), px.ravel()]),
         np.concatenate([nt.ravel(), pt.ravel()]),
     )
-    u, interp, history, converged = run_sweeps(
+    u, interp, history, stop_reason = run_sweeps(
         cfg,
         (cfg.n_x + 1, cfg.n_t + 1),
         PathFunctionalSpec(source=source, exterior=exterior, initial=initial),
@@ -143,5 +144,6 @@ def stsmc_solve(
         node_values=u,
         interpolant=interp,
         history=history,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
     )

@@ -8,6 +8,16 @@ exterior data.  With exact arithmetic each sweep multiplies the error by
 an interpolation-type contraction factor, so a handful of sweeps with a
 small walk budget reaches noise-free accuracy.  `run_sweeps` is that
 loop; the space-time solver drives it too.
+
+The loop stops for one of three reasons:
+
+- ``tol``: the largest nodal update fell below ``tol`` (``converged``);
+- ``stalled``: the iterate has reached the interpolation-projected
+  solution and the updates are walk noise.  Each sweep records the Monte
+  Carlo standard error ``se`` of its update (the largest over the nodes);
+  the run stops once two consecutive sweeps have an update below
+  ``STALL_RATIO * se`` that also shrank by less than ``STALL_SHRINK``;
+- ``k_max``: neither happened within ``k_max`` sweeps.
 """
 
 from __future__ import annotations
@@ -30,6 +40,15 @@ from .basis import (
 from .rng import RngStream
 from .walks import PathFunctionalSpec, poisson_walks
 
+# The stall rule.  max_update / se is 12-90 while the error contracts at
+# M = 50-100 walks and mostly 0.4-3.7 once it sits at the floor; at M = 10
+# it can drop to 2-5 while still contracting.  The shrink guard tells the
+# two apart there: over 860 sin-source runs at M = 10, no contracting sweep
+# with max_update < STALL_RATIO * se shrank the update by less than 2x,
+# while 90 % of the floor sweeps did.
+STALL_RATIO = 5.0
+STALL_SHRINK = 2.0
+
 
 @dataclass(frozen=True)
 class PoissonConfig:
@@ -48,6 +67,8 @@ class PoissonConfig:
     def validate(self) -> None:
         if not 0 < self.alpha <= 2:
             raise ValueError("alpha must lie in (0, 2]")
+        if self.alpha / 2 - 1 == -1:
+            raise ValueError("alpha is so small that alpha/2 - 1 rounds to -1")
         if self.n_x < 1 or self.n_walks < 1 or self.k_max < 1:
             raise ValueError("n_x, n_walks and k_max must be positive")
         if self.inner_samples < (self.n_x + 2) // 2:
@@ -60,8 +81,11 @@ class IterationReport:
 
     k: int
     max_update: float
+    se: float  # Monte Carlo standard error of the update, largest over the nodes
     e_inf: float
     capped_rate: float
+    mean_steps: float  # walk steps per path, over all paths of the sweep
+    max_steps: int
     elapsed_ms: float
 
 
@@ -74,7 +98,8 @@ class PoissonSolution:
     node_values: np.ndarray = field(repr=False)
     interpolant: Interpolant1D = field(repr=False)
     history: tuple[IterationReport, ...]
-    converged: bool
+    converged: bool  # stopped by tol
+    stop_reason: str  # "tol", "stalled" or "k_max"
 
     def __call__(self, x):
         return eval_interpolant(self.interpolant, x)
@@ -95,7 +120,7 @@ _PROBE = np.linspace(-0.97, 0.97, 50)
 
 
 def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
-    """The sweep loop both solvers share; returns (u, interpolant, history, converged).
+    """The sweep loop both solvers share; returns (u, interpolant, history, stop_reason).
 
     Sweep 1 walks against `first_spec`; sweep k > 1 walks against
     `next_spec(interp)` for the current interpolant and adds the mean
@@ -105,12 +130,14 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
     the nodes are walked.  `fit(u)` interpolates the nodal values.  With a
     reference, e_inf is the sup error of the interpolant over the points
     in the tuple `probe` (one array per coordinate); without one it is NaN.
+    The stop reasons are described in the module docstring.
     """
     root = RngStream(cfg.seed)
     u = np.zeros(shape)
     interp = fit(u)
     history: list[IterationReport] = []
-    converged = False
+    stop_reason = "k_max"
+    was_noise = False
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
         spec = first_spec if k == 1 else next_spec(interp)
@@ -120,6 +147,8 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
         capped_rate = sum(b.n_capped for b in batches) / max(
             sum(len(b.capped) for b in batches), 1
         )
+        se = max(b.standard_error() for b in batches)
+        steps = np.concatenate([b.steps for b in batches])
         new = est if k == 1 else u + est
         max_update = float(np.max(np.abs(new - u)))
         u = new
@@ -132,8 +161,11 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
             IterationReport(
                 k=k,
                 max_update=max_update,
+                se=se,
                 e_inf=e_inf,
                 capped_rate=capped_rate,
+                mean_steps=float(steps.mean()),
+                max_steps=int(steps.max()),
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
@@ -144,9 +176,18 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
                 stacklevel=3,
             )
         if max_update < cfg.tol:
-            converged = True
+            stop_reason = "tol"
             break
-    return u, interp, tuple(history), converged
+        is_noise = (
+            k > 1
+            and max_update < STALL_RATIO * se
+            and max_update > history[-2].max_update / STALL_SHRINK
+        )
+        if is_noise and was_noise:
+            stop_reason = "stalled"
+            break
+        was_noise = is_noise
+    return u, interp, tuple(history), stop_reason
 
 
 def smc_solve(
@@ -155,7 +196,7 @@ def smc_solve(
     exterior=None,
     reference=None,
 ) -> PoissonSolution:
-    """Run the iterated solve until the update stalls below tol.
+    """Run the iterated solve until it stops by tol, by a stall or at k_max.
 
     When a reference solution is supplied the per-sweep report carries the
     sup error over the nodes plus a fixed probe cloud; otherwise e_inf is
@@ -181,7 +222,7 @@ def smc_solve(
         exterior=zero_ext if exterior is None else exterior,
         inner_samples=cfg.inner_samples,
     )
-    u, interp, history, converged = run_sweeps(
+    u, interp, history, stop_reason = run_sweeps(
         cfg,
         (len(nodes),),
         first,
@@ -197,7 +238,8 @@ def smc_solve(
         node_values=u,
         interpolant=interp,
         history=history,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
     )
 
 

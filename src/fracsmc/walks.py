@@ -21,6 +21,7 @@ oracles.jump_law_ks, which the verbatim form fails: it produces J < r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -80,6 +81,12 @@ class WalkBatch:
         if not ok.any():
             raise CappedWalkError(float("nan"), POISSON_STEP_CAP)
         return float(self.scores[ok].mean())
+
+    def standard_error(self) -> float:
+        """Monte Carlo standard error of mean_score, over the non-capped paths."""
+        ok = self.scores[~self.capped]
+        dev = ok - ok.sum() / len(ok)
+        return math.sqrt(dev @ dev) / len(ok)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Config parsing, report writing, and exit-code behavior of the CLI."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,7 @@ class TestConfigProperties:
         assert cfg.seed >= 0
         assert math.isfinite(cfg.tol) and cfg.tol > 0
         assert 0 < cfg.alpha <= 2
+        assert parabolic or cfg.alpha / 2 - 1 > -1
         if parabolic:
             assert math.isfinite(cfg.t_final) and cfg.t_final > 0
 
@@ -143,7 +145,9 @@ class TestMainExitCodes:
         assert main(["run", cfg, "--threads", "1"]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# equation=poisson")
-        assert lines[1] == "k,max_update,e_inf,capped_path_rate,elapsed_ms"
+        assert lines[1] == (
+            "k,max_update,se,e_inf,capped_path_rate,mean_steps,max_steps,elapsed_ms"
+        )
         assert len(lines) >= 3
 
     def test_invalid_config_exits_2_without_output(self, tmp_path):
@@ -245,14 +249,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
-    def test_vanishing_alpha_is_a_numerical_failure(self, tmp_path, capsys):
-        # alpha = 1e-300 passes the config check, but alpha/2 - 1 rounds to
-        # -1, outside the Jacobi weights of the occupation rule
+    def test_vanishing_alpha_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # alpha = 1e-300 lies in (0, 2], but alpha/2 - 1 rounds to -1,
+        # outside the Jacobi weights of the occupation rule; the config
+        # check rejects it before the solve
+        self._forbid_solving(monkeypatch)
         out = tmp_path / "r.csv"
         text = GOOD.replace("alpha = 0.6", "alpha = 1e-300") + f"out = {out}\n"
-        assert main(["run", self._write(tmp_path, text)]) == 3
+        assert main(["run", self._write(tmp_path, text)]) == 2
         err = capsys.readouterr().err
-        assert "Jacobi indices must exceed -1" in err and err.count("\n") == 1
+        assert err.startswith("error: alpha = 1e-300") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -266,6 +272,72 @@ class TestMainExitCodes:
         out = tmp_path / "override.csv"
         assert main(["run", cfg, "--seed", "9", "--out", str(out), "--threads", "1"]) == 0
         assert "seed=9" in out.read_text().splitlines()[0]
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+# (k, max_update, e_inf, capped_path_rate) of every report row of the bundled
+# poisson_u1_alpha04 config, as written before the stall rule existed; tol
+# stops this config long before the updates are walk noise
+U1_ROWS = {
+    1: [
+        "1,1.9033204815014073,0.060936505832214438,0",
+        "2,0.05111831078004192,0.002368132541369139,0",
+        "3,0.0019552219176268704,5.3984955689534431e-05,0",
+        "4,5.0533890749493438e-05,1.4821924356756e-06,0",
+        "5,1.2590660722899827e-06,5.1579141846502807e-08,0",
+        "6,4.6525012065146143e-08,2.4667574649583912e-09,0",
+        "7,2.1421941998056582e-09,6.0294880199762702e-11,0",
+        "8,5.2342352674372705e-11,2.6512125828048738e-12,0",
+        "9,2.283506717049022e-12,9.0483176506950258e-14,0",
+        "10,8.7929663550312398e-14,1.6653345369377348e-15,0",
+    ],
+    7: [
+        "1,1.9400262107234274,0.042723916111239824,0",
+        "2,0.037429023897007641,0.0010348284829230225,0",
+        "3,0.00096166399329189467,5.1509610636490955e-05,0",
+        "4,4.110682012581357e-05,1.3827747659123091e-06,0",
+        "5,1.1268893563842752e-06,5.411617820527681e-08,0",
+        "6,4.719349855353272e-08,2.1939715599827991e-09,0",
+        "7,1.817671457793324e-09,1.3193912629105853e-10,0",
+        "8,1.0905942815497838e-10,4.595879232738298e-12,0",
+        "9,3.737676834703052e-12,8.7929663550312398e-14,0",
+        "10,8.2156503822261584e-14,4.5519144009631418e-15,0",
+    ],
+}
+
+
+class TestStopReasons:
+    @pytest.mark.parametrize("seed", sorted(U1_ROWS))
+    def test_poisson_u1_rows_unchanged_and_stopped_by_tol(self, seed, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        cfg = str(BUNDLED / "poisson_u1_alpha04.cfg")
+        assert main(["run", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert "(stopped by tol)" in capsys.readouterr().out
+        header, *rows = out.read_text().splitlines()[1:]
+        cols = header.split(",")
+        keep = [cols.index(c) for c in ("k", "max_update", "e_inf", "capped_path_rate")]
+        got = [",".join(row.split(",")[i] for i in keep) for row in rows]
+        assert got == U1_ROWS[seed]
+
+    def test_stall_names_the_resolution_limit(self, tmp_path, capsys):
+        # two modes cannot resolve the sin source: the error floor is
+        # reached within a few sweeps, long before tol or k_max
+        out = tmp_path / "r.csv"
+        text = GOOD.replace("preset = u1", "preset = source_sin").replace(
+            "k_max = 4", "k_max = 40"
+        )
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(text + f"out = {out}\n")
+        assert main(["run", str(cfgp)]) == 0
+        line = capsys.readouterr().out
+        assert "(stopped by stalled; resolution-limited: raise n_x/n_t)" in line
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) < 40
+        for row in rows:
+            k, max_update, se, e_inf, rate, mean_steps, max_steps, ms = row.split(",")
+            assert float(se) > 0 and float(mean_steps) >= 1 and int(max_steps) >= 1
+            assert ms == ""
 
 
 class TestDeterminism:

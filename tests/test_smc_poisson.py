@@ -7,6 +7,7 @@ from the deterministic Galerkin oracle, never from the solver itself.
 import numpy as np
 import pytest
 
+from fracsmc import poisson
 from fracsmc.poisson import (
     PoissonConfig,
     empirical_contraction,
@@ -21,7 +22,7 @@ class TestSmcSolve:
         pre = poly_preset(0.4)
         cfg = PoissonConfig(alpha=0.4, n_x=2, n_walks=50, seed=7, k_max=60)
         sol = smc_solve(cfg, pre.source, reference=pre.solution)
-        assert sol.converged
+        assert sol.converged and sol.stop_reason == "tol"
         assert sol.history[-1].e_inf < 1e-10
 
     def test_error_decays_monotonically_early(self):
@@ -69,12 +70,53 @@ class TestSmcSolve:
         assert sol(xs[:1]).shape == (1,)
         assert isinstance(sol(0.2), float)
 
+    def test_alpha_whose_jacobi_index_rounds_to_minus_one_rejected(self):
+        PoissonConfig(alpha=1e-15, n_x=2, n_walks=10).validate()
+        with pytest.raises(ValueError, match="rounds to -1"):
+            PoissonConfig(alpha=1e-300, n_x=2, n_walks=10).validate()
+
     def test_rule_smaller_than_the_residual_degree_rejected(self):
         # the occupation rule must be exact on degree n_x: inner_samples
         # >= ceil((n_x+1)/2)
         PoissonConfig(alpha=1.2, n_x=8, n_walks=10, inner_samples=5).validate()
         with pytest.raises(ValueError, match="inner_samples"):
             PoissonConfig(alpha=1.2, n_x=8, n_walks=10, inner_samples=4).validate()
+
+
+class TestStopReasons:
+    def test_kmax_reported_when_neither_tol_nor_stall_stops(self):
+        pre = poly_preset(0.4)
+        cfg = PoissonConfig(alpha=0.4, n_x=2, n_walks=50, seed=1, k_max=2)
+        sol = smc_solve(cfg, pre.source, reference=pre.solution)
+        assert sol.stop_reason == "k_max" and not sol.converged
+        assert len(sol.history) == 2
+
+    @pytest.mark.parametrize(
+        "alpha, n_walks, n_seeds",
+        [(1.2, 10, 40), (1.2, 100, 12), (2.0, 10, 40), (2.0, 100, 12)],
+    )
+    def test_no_false_stall_on_sin_source(self, alpha, n_walks, n_seeds, monkeypatch):
+        # poisson_sin settings; at M = 10 the update/SE ratio of a still
+        # contracting sweep comes close to STALL_RATIO, which the shrink
+        # guard must catch.  alpha = 2 draws deterministic jump lengths.
+        pre = sin_source_preset(alpha)
+        stalls = 0
+        for seed in range(n_seeds):
+            cfg = PoissonConfig(alpha=alpha, n_x=8, n_walks=n_walks, seed=seed, k_max=40)
+            sol = smc_solve(cfg, pre.source, reference=pre.solution)
+            if sol.stop_reason != "stalled":
+                continue
+            stalls += 1
+            with monkeypatch.context() as m:
+                m.setattr(poisson, "STALL_RATIO", 0.0)  # no update is noise
+                full = smc_solve(cfg, pre.source, reference=pre.solution)
+            assert full.stop_reason == "k_max" and len(full.history) == 40
+            # the stalled run is the full run cut short
+            assert [h.max_update for h in sol.history] == [
+                h.max_update for h in full.history[: len(sol.history)]
+            ]
+            assert sol.history[-1].e_inf <= 2 * full.history[-1].e_inf, seed
+        assert stalls > n_seeds // 2
 
 
 class TestResidualSource:
