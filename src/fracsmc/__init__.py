@@ -31,11 +31,11 @@ from .oracles import (
     normalization_constant,
     sample_symmetric_stable,
 )
-from .parabolic import ParabolicConfig, ParabolicSolution, stsmc_solve
+from .parabolic import ParabolicConfig, stsmc_solve
 from .poisson import (
     IterationReport,
     PoissonConfig,
-    PoissonSolution,
+    Solution,
     empirical_contraction,
     smc_solve,
 )

@@ -63,10 +63,6 @@ class GjfGrid:
     def nodes(self) -> np.ndarray:
         return self.rule.nodes
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self.rule.weights
-
 
 @lru_cache(maxsize=64)
 def make_grid(alpha: float, N_x: int) -> GjfGrid:
@@ -99,7 +95,6 @@ def lagrange_cardinal(nodes: np.ndarray, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bw = _barycentric_weights(nodes)
     diff = x[None, :] - nodes[:, None]  # (j, x)
-    out = np.empty_like(diff)
     hit = np.abs(diff) < 1e-300
     anyhit = hit.any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,10 +175,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self.rule.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.rule.weights
 
 
 def _shifted_legendre(n_max: int, t, T: float) -> np.ndarray:

@@ -42,7 +42,8 @@ class ExperimentConfig:
     n_t: int = 0
     t_final: float = 0.0
     n_sub: int = 64
-    m1: int = 32  # Poisson occupation-rule nodes, >= ceil((n_x+1)/2)
+    # Poisson occupation-rule nodes, >= ceil((n_x+1)/2)
+    m1: int = walks.OCCUPATION_NODES
     k_max: int = 60
     tol: float = 1e-12
     seed: int = 0

@@ -1,11 +1,14 @@
-"""Independent brute-force references.
+"""Brute-force references.
 
-Nothing here shares code paths with the solver: the fractional Laplacian
-is evaluated straight from its principal-value integral, the reference
-solution comes from a deterministic diagonal Galerkin projection, and the
-stable process is simulated step by step with Chambers-Mallows-Stuck
-increments.  These referees are low-accuracy by design; they tie the
-spectral identities and the walk kernels to ground truth.
+The fractional Laplacian is evaluated straight from its principal-value
+integral, the reference solution comes from a deterministic diagonal
+Galerkin projection, and the stable process is simulated step by step
+with Chambers-Mallows-Stuck increments.  These referees are low-accuracy
+by design; they tie the spectral identities and the walk kernels to
+ground truth.  They share with the solver the Jacobi recurrence, norms
+and Gauss rules of specfun, basis.gjf_eval, walks.expected_exit_coeff
+and the reference jump inversion walks.sample_jump_scaled (which the
+kernels do not call); the integral, CMS and Euler code is their own.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ class QuadratureFailure(RuntimeError):
     """The cutoff extrapolation did not settle within the tolerance."""
 
 
-def normalization_constant(alpha: float, d: int = 1) -> float:
-    """Constant 2^a Gamma((d+a)/2) / (pi^(d/2) |Gamma(-a/2)|) of the operator.
+def normalization_constant(alpha: float) -> float:
+    """Constant 2^a Gamma((1+a)/2) / (pi^(1/2) |Gamma(-a/2)|) of the operator.
 
     |Gamma(-a/2)| = Gamma(1-a/2)/(a/2); the basis derivative identity pins
     this normalization (see tests).
@@ -40,8 +43,8 @@ def normalization_constant(alpha: float, d: int = 1) -> float:
     return float(
         alpha
         * 2 ** (alpha - 1)
-        * sp.gamma((d + alpha) / 2)
-        / (np.pi ** (d / 2) * sp.gamma(1 - alpha / 2))
+        * sp.gamma((1 + alpha) / 2)
+        / (np.pi ** 0.5 * sp.gamma(1 - alpha / 2))
     )
 
 
@@ -50,7 +53,6 @@ class FracLapOracleConfig:
     """Knobs of the principal-value evaluation."""
 
     epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    far_field_bound: float = 50.0
     quad_tol: float = 1e-9
     settle_tol: float = 1e-6
 
@@ -60,14 +62,13 @@ def frac_laplacian_direct(
     x: float,
     alpha: float,
     cfg: FracLapOracleConfig = FracLapOracleConfig(),
-    zero_extended: bool = True,
 ) -> float:
     """Fractional Laplacian of u at an interior x from the singular integral.
 
-    The window around x uses the absolutely convergent second-difference
-    form; the remaining near field is integrated adaptively and the far
-    field of a zero-extended u is summed in closed form.  The value is
-    recomputed over the shrinking window schedule and must settle.
+    u is taken as zero outside (-1, 1).  The window around x uses the
+    absolutely convergent second-difference form; the rest of (-1, 1) is
+    integrated adaptively and the exterior is summed in closed form.  The
+    value is recomputed over the shrinking window schedule and must settle.
     """
     if not -1 < x < 1:
         raise DomainError("frac_laplacian_direct requires interior x")
@@ -117,19 +118,7 @@ def frac_laplacian_direct(
             epsrel=cfg.quad_tol,
             limit=200,
         )
-        if zero_extended:
-            exterior = ux * ((1 - x) ** -alpha + (1 + x) ** -alpha) / alpha
-        else:
-            R = cfg.far_field_bound
-            tail_r, _ = integrate.quad(
-                lambda y: (ux - u(y)) / (y - x) ** (1 + alpha), 1.0, R, limit=200
-            )
-            tail_l, _ = integrate.quad(
-                lambda y: (ux - u(y)) / (x - y) ** (1 + alpha), -R, -1.0, limit=200
-            )
-            exterior = tail_r + tail_l + ux * (
-                (R - x) ** -alpha + (R + x) ** -alpha
-            ) / alpha
+        exterior = ux * ((1 - x) ** -alpha + (1 + x) ** -alpha) / alpha
         return C * (window + right + left + exterior)
 
     vals = [value(d) for d in cfg.epsilons if d < dist] or [value(dist / 2)]
@@ -157,16 +146,14 @@ class GalerkinSolution:
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
         idx = JacobiIndex(self.alpha / 2, self.alpha / 2)
         P = jacobi_eval_all(self.degree, idx, x)
         one_m = 1.0 - x * x
         w = np.where(one_m > 0, np.abs(one_m) ** (self.alpha / 2), 0.0)
-        out = w * np.einsum("m,mx->x", self.coefficients, P)
-        return float(out) if out.ndim == 0 else out
+        return w * np.einsum("m,mx->x", self.coefficients, P)
 
 
-def galerkin_solve(f, alpha: float, N: int, quad_order: int | None = None) -> GalerkinSolution:
+def galerkin_solve(f, alpha: float, N: int) -> GalerkinSolution:
     """Diagonal Galerkin solution of the homogeneous fractional Poisson problem.
 
     The singular basis diagonalizes the operator, so each coefficient is a
@@ -175,7 +162,7 @@ def galerkin_solve(f, alpha: float, N: int, quad_order: int | None = None) -> Ga
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     idx = JacobiIndex(alpha / 2, alpha / 2)
-    rule = jacobi_gauss((quad_order or N + 80), idx)
+    rule = jacobi_gauss(N + 80, idx)
     fx = np.asarray(f(rule.nodes), dtype=float)
     P = jacobi_eval_all(N, idx, rule.nodes)
     inner = P @ (fx * rule.weights)
@@ -203,6 +190,9 @@ def sample_symmetric_stable(
     return s
 
 
+_EULER_STEP_CAP = 10_000_000
+
+
 def euler_stable_exit(
     x0: float,
     halfwidth: float,
@@ -210,10 +200,8 @@ def euler_stable_exit(
     dt: float,
     rng: np.random.Generator,
     n_paths: int = 1,
-    center: float = 0.0,
-    step_cap: int = 10_000_000,
 ):
-    """First exit of the Euler-discretized stable path from (c-h, c+h).
+    """First exit of the Euler-discretized stable path from (-h, h).
 
     Returns (locations, steps, capped) arrays; the exit sample is the first
     post-jump state outside, with no overshoot correction.
@@ -226,12 +214,12 @@ def euler_stable_exit(
     active = np.ones(n_paths, dtype=bool)
     scale = dt ** (1.0 / alpha)
     k = 0
-    while active.any() and k < step_cap:
+    while active.any() and k < _EULER_STEP_CAP:
         k += 1
         idx = np.nonzero(active)[0]
         pos[idx] += scale * sample_symmetric_stable(alpha, rng, size=len(idx))
         steps[idx] += 1
-        out = np.abs(pos[idx] - center) >= halfwidth
+        out = np.abs(pos[idx]) >= halfwidth
         done = idx[out]
         loc[done] = pos[done]
         active[done] = False

@@ -12,21 +12,19 @@ and Legendre rows only at the walk's n_sub+1 distinct times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (
-    GjfGrid,
     SpaceTimeInterpolant,
-    TimeGrid,
     eval_st_interpolant,
     make_grid,
     make_time_grid,
     st_interpolate,
     st_operator,
 )
-from .poisson import IterationReport, run_sweeps
+from .poisson import Solution, run_sweeps
 from .walks import PathFunctionalSpec, parabolic_walks
 
 
@@ -45,31 +43,19 @@ class ParabolicConfig:
     tol: float = 1e-12
 
     def validate(self) -> None:
+        # comparisons are written so that NaN fails them
         if not 0 < self.alpha <= 2:
             raise ValueError("alpha must lie in (0, 2]")
-        if self.final_time <= 0:
-            raise ValueError("final_time must be positive")
+        if not 0 < self.final_time < np.inf:
+            raise ValueError("final_time must be finite and positive")
         if min(self.n_x, self.n_t, self.n_walks, self.n_sub, self.k_max) < 1:
             raise ValueError(
                 "n_x, n_t, n_walks, n_sub and k_max must be positive"
             )
-
-
-@dataclass(frozen=True)
-class ParabolicSolution:
-    """Converged space-time iterate with its sweep history."""
-
-    config: ParabolicConfig
-    grid: GjfGrid = field(repr=False)
-    tgrid: TimeGrid = field(repr=False)
-    node_values: np.ndarray = field(repr=False)
-    interpolant: SpaceTimeInterpolant = field(repr=False)
-    history: tuple[IterationReport, ...]
-    converged: bool  # stopped by tol
-    stop_reason: str  # "tol", "stalled" or "k_max"
-
-    def __call__(self, x, t):
-        return eval_st_interpolant(self.interpolant, x, t)
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def st_residual_source(interp: SpaceTimeInterpolant, source):
@@ -91,11 +77,9 @@ def stsmc_solve(
     initial,
     exterior=None,
     reference=None,
-) -> ParabolicSolution:
+) -> Solution:
     """Iterate walk sweeps over the space-time collocation tensor."""
     cfg.validate()
-    if exterior is None:
-        exterior = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     grid = make_grid(cfg.alpha, cfg.n_x)
     tgrid = make_time_grid(cfg.final_time, cfg.n_t)
 
@@ -115,7 +99,6 @@ def stsmc_solve(
         # interior), so the residual problem keeps an initial-data term
         return PathFunctionalSpec(
             source=st_residual_source(cur, source),
-            exterior=None,
             initial=lambda x: initial(x)
             - eval_st_interpolant(cur, x, np.zeros_like(np.asarray(x))),
         )
@@ -127,7 +110,7 @@ def stsmc_solve(
         np.concatenate([nx.ravel(), px.ravel()]),
         np.concatenate([nt.ravel(), pt.ravel()]),
     )
-    u, interp, history, stop_reason = run_sweeps(
+    return run_sweeps(
         cfg,
         (cfg.n_x + 1, cfg.n_t + 1),
         PathFunctionalSpec(source=source, exterior=exterior, initial=initial),
@@ -136,14 +119,4 @@ def stsmc_solve(
         lambda u: st_interpolate(grid, tgrid, u),
         reference,
         probe,
-    )
-    return ParabolicSolution(
-        config=cfg,
-        grid=grid,
-        tgrid=tgrid,
-        node_values=u,
-        interpolant=interp,
-        history=history,
-        converged=stop_reason == "tol",
-        stop_reason=stop_reason,
     )

@@ -7,7 +7,7 @@ modal map, and runs fresh walks against that residual with homogeneous
 exterior data.  With exact arithmetic each sweep multiplies the error by
 an interpolation-type contraction factor, so a handful of sweeps with a
 small walk budget reaches noise-free accuracy.  `run_sweeps` is that
-loop; the space-time solver drives it too.
+loop; the space-time solver drives it too, and both return its `Solution`.
 
 The loop stops for one of three reasons:
 
@@ -29,16 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    GjfGrid,
     Interpolant1D,
-    eval_interpolant,
     eval_jacobi_series,
     frac_laplacian_modal,
     interpolate,
     make_grid,
 )
 from .rng import RngStream
-from .walks import PathFunctionalSpec, poisson_walks
+from .walks import OCCUPATION_NODES, PathFunctionalSpec, poisson_walks
 
 # The stall rule.  max_update / se is 12-90 while the error contracts at
 # M = 50-100 walks and mostly 0.4-3.7 once it sits at the floor; at M = 10
@@ -62,9 +60,10 @@ class PoissonConfig:
     tol: float = 1e-12
     # nodes of the occupation rule; below ceil((n_x+1)/2) it is not exact on
     # the degree-n_x residual, and the iteration diverges
-    inner_samples: int = 32
+    inner_samples: int = OCCUPATION_NODES
 
     def validate(self) -> None:
+        # comparisons are written so that NaN fails them
         if not 0 < self.alpha <= 2:
             raise ValueError("alpha must lie in (0, 2]")
         if self.alpha / 2 - 1 == -1:
@@ -73,6 +72,10 @@ class PoissonConfig:
             raise ValueError("n_x, n_walks and k_max must be positive")
         if self.inner_samples < (self.n_x + 2) // 2:
             raise ValueError("inner_samples must be at least ceil((n_x+1)/2)")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,19 +93,21 @@ class IterationReport:
 
 
 @dataclass(frozen=True)
-class PoissonSolution:
-    """Converged iterate with its sweep history."""
+class Solution:
+    """Final iterate of `run_sweeps` with its sweep history; call it at x or (x, t)."""
 
-    config: PoissonConfig
-    grid: GjfGrid = field(repr=False)
+    config: object  # PoissonConfig or ParabolicConfig
     node_values: np.ndarray = field(repr=False)
-    interpolant: Interpolant1D = field(repr=False)
+    interpolant: object = field(repr=False)  # Interpolant1D or SpaceTimeInterpolant
     history: tuple[IterationReport, ...]
-    converged: bool  # stopped by tol
     stop_reason: str  # "tol", "stalled" or "k_max"
 
-    def __call__(self, x):
-        return eval_interpolant(self.interpolant, x)
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
+
+    def __call__(self, *xt):
+        return self.interpolant(*xt)
 
 
 def residual_source(interp: Interpolant1D, source):
@@ -120,7 +125,7 @@ _PROBE = np.linspace(-0.97, 0.97, 50)
 
 
 def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
-    """The sweep loop both solvers share; returns (u, interpolant, history, stop_reason).
+    """The sweep loop both solvers share; returns the final `Solution`.
 
     Sweep 1 walks against `first_spec`; sweep k > 1 walks against
     `next_spec(interp)` for the current interpolant and adds the mean
@@ -129,9 +134,11 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
     `walk(spec, stream, *ij)`, so no number depends on the order in which
     the nodes are walked.  `fit(u)` interpolates the nodal values.  With a
     reference, e_inf is the sup error of the interpolant over the points
-    in the tuple `probe` (one array per coordinate); without one it is NaN.
-    The stop reasons are described in the module docstring.
+    in the tuple `probe` (one array per coordinate), where the reference
+    is evaluated once; without one it is NaN.  The stop reasons are
+    described in the module docstring.
     """
+    exact = None if reference is None else reference(*probe)
     root = RngStream(cfg.seed)
     u = np.zeros(shape)
     interp = fit(u)
@@ -153,8 +160,8 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
         max_update = float(np.max(np.abs(new - u)))
         u = new
         interp = fit(u)
-        if reference is not None:
-            e_inf = float(np.max(np.abs(interp(*probe) - reference(*probe))))
+        if exact is not None:
+            e_inf = float(np.max(np.abs(interp(*probe) - exact)))
         else:
             e_inf = float("nan")
         history.append(
@@ -187,7 +194,7 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
             stop_reason = "stalled"
             break
         was_noise = is_noise
-    return u, interp, tuple(history), stop_reason
+    return Solution(cfg, u, interp, tuple(history), stop_reason)
 
 
 def smc_solve(
@@ -195,7 +202,7 @@ def smc_solve(
     source,
     exterior=None,
     reference=None,
-) -> PoissonSolution:
+) -> Solution:
     """Run the iterated solve until it stops by tol, by a stall or at k_max.
 
     When a reference solution is supplied the per-sweep report carries the
@@ -203,7 +210,6 @@ def smc_solve(
     NaN.
     """
     cfg.validate()
-    zero_ext = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     grid = make_grid(cfg.alpha, cfg.n_x)
     nodes = grid.nodes
 
@@ -213,16 +219,13 @@ def smc_solve(
     def next_spec(interp):
         return PathFunctionalSpec(
             source=residual_source(interp, source),
-            exterior=zero_ext,
             inner_samples=cfg.inner_samples,
         )
 
     first = PathFunctionalSpec(
-        source=source,
-        exterior=zero_ext if exterior is None else exterior,
-        inner_samples=cfg.inner_samples,
+        source=source, exterior=exterior, inner_samples=cfg.inner_samples
     )
-    u, interp, history, stop_reason = run_sweeps(
+    return run_sweeps(
         cfg,
         (len(nodes),),
         first,
@@ -232,23 +235,14 @@ def smc_solve(
         reference,
         (np.concatenate([nodes, _PROBE]),),
     )
-    return PoissonSolution(
-        config=cfg,
-        grid=grid,
-        node_values=u,
-        interpolant=interp,
-        history=history,
-        converged=stop_reason == "tol",
-        stop_reason=stop_reason,
-    )
 
 
-def empirical_contraction(history, floor: float = 1e-13) -> float:
+def empirical_contraction(history) -> float:
     """Geometric-mean decay ratio of e_inf before it hits the noise floor.
 
     Returns NaN when fewer than two pre-floor sweeps are available.
     """
-    errs = [h.e_inf for h in history if np.isfinite(h.e_inf) and h.e_inf > floor]
+    errs = [h.e_inf for h in history if np.isfinite(h.e_inf) and h.e_inf > 1e-13]
     if len(errs) < 2:
         return float("nan")
     ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 0]

@@ -49,20 +49,26 @@ def _modal_coefficients(alpha: float, smooth, degree: int) -> np.ndarray:
     return (P @ (smooth(rule.nodes) * rule.weights)) / g
 
 
-def _series_pair(alpha: float, smooth, degree: int):
-    """Solution (1-x^2)^(a/2) * smooth and its matched source."""
-    modal = _modal_coefficients(alpha, smooth, degree)
-    lam = frac_diag_factor(np.arange(degree + 1), alpha)
+def _weighted_series(modal: np.ndarray, alpha: float):
+    """x -> (1-x^2)^(a/2) sum_n modal[n] P_n^(a/2,a/2)(x), zero outside (-1, 1)."""
 
     def u(x):
         x = np.asarray(x, dtype=float)
         body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
         return body * eval_jacobi_series(modal, alpha, x)
 
+    return u
+
+
+def _series_pair(alpha: float, smooth, degree: int):
+    """Solution (1-x^2)^(a/2) * smooth and its matched source."""
+    modal = _modal_coefficients(alpha, smooth, degree)
+    lam = frac_diag_factor(np.arange(degree + 1), alpha)
+
     def f(x):
         return eval_jacobi_series(modal * lam, alpha, x)
 
-    return u, f
+    return _weighted_series(modal, alpha), f
 
 
 def poly_preset(alpha: float) -> SteadyPreset:
@@ -71,29 +77,26 @@ def poly_preset(alpha: float) -> SteadyPreset:
     return SteadyPreset(name="poly", alpha=alpha, solution=u, source=f)
 
 
-def sine_preset(alpha: float, degree: int = 50) -> SteadyPreset:
-    """(1 - x^2)^(alpha/2) sin(x) via a high-degree modal expansion."""
-    u, f = _series_pair(alpha, np.sin, degree)
+def sine_preset(alpha: float) -> SteadyPreset:
+    """(1 - x^2)^(alpha/2) sin(x) via a degree-50 modal expansion."""
+    u, f = _series_pair(alpha, np.sin, 50)
     return SteadyPreset(name="sine", alpha=alpha, solution=u, source=f)
 
 
-def sin_source_preset(alpha: float, reference_degree: int = 100) -> SteadyPreset:
+def sin_source_preset(alpha: float) -> SteadyPreset:
     """Pure source f(x) = sin(x); the solution is the diagonal projection.
 
     Here the source is prescribed and the reference solution comes from
-    dividing its modal coefficients by the eigenvalue factors.
+    dividing its degree-100 modal coefficients by the eigenvalue factors.
     """
-    modal_f = _modal_coefficients(alpha, np.sin, reference_degree)
-    lam = frac_diag_factor(np.arange(reference_degree + 1), alpha)
-    modal_u = modal_f / lam
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
-        return body * eval_jacobi_series(modal_u, alpha, x)
-
+    degree = 100
+    modal_f = _modal_coefficients(alpha, np.sin, degree)
+    lam = frac_diag_factor(np.arange(degree + 1), alpha)
     return SteadyPreset(
-        name="sin-source", alpha=alpha, solution=u, source=lambda x: np.sin(x)
+        name="sin-source",
+        alpha=alpha,
+        solution=_weighted_series(modal_f / lam, alpha),
+        source=lambda x: np.sin(x),
     )
 
 
@@ -102,11 +105,7 @@ def _parabolic_from_series(name, alpha, T, smooth, degree):
     modal = _modal_coefficients(alpha, smooth, degree)
     flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
     idx = JacobiIndex(alpha / 2, alpha / 2)
-
-    def space(x):
-        x = np.asarray(x, dtype=float)
-        body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
-        return body * eval_jacobi_series(modal, alpha, x)
+    space = _weighted_series(modal, alpha)
 
     def u(x, t):
         return space(x) * np.cos(t)
@@ -136,8 +135,6 @@ def parabolic_poly_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
     return _parabolic_from_series("poly-cos", alpha, T, lambda x: x * x + x + 1.0, 2)
 
 
-def parabolic_sine_preset(
-    alpha: float, T: float = 0.5, degree: int = 50
-) -> ParabolicPreset:
-    """(1-x^2)^(a/2) sin(x) cos(t)."""
-    return _parabolic_from_series("sine-cos", alpha, T, np.sin, degree)
+def parabolic_sine_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
+    """(1-x^2)^(a/2) sin(x) cos(t), by a degree-50 modal expansion."""
+    return _parabolic_from_series("sine-cos", alpha, T, np.sin, 50)

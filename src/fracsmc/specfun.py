@@ -31,18 +31,11 @@ class JacobiIndex:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss nodes/weights for a Jacobi weight on (-1, 1).
-
-    ``order`` counts the nodes, i.e. N+1 for a rule exact on degree 2N+1.
-    """
+    """Gauss nodes/weights for a Jacobi weight on (-1, 1)."""
 
     index: JacobiIndex
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating the integral of f * jacobi weight."""

@@ -38,15 +38,13 @@ JUMP_LAW_VERBATIM = "verbatim"
 DEFAULT_JUMP_LAW = JUMP_LAW_EXIT
 
 POISSON_STEP_CAP = 100_000
+# default node count of the occupation rule (PathFunctionalSpec, PoissonConfig
+# and the `m1` config key)
+OCCUPATION_NODES = 32
 
 
 class CappedWalkError(RuntimeError):
-    """A walk exceeded the step cap; carries the partial score."""
-
-    def __init__(self, partial_score: float, steps: int):
-        super().__init__(f"walk hit the {steps}-step cap")
-        self.partial_score = partial_score
-        self.steps = steps
+    """Every path of a batch hit the step cap, so it has no mean score."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class WalkBatch:
         """Mean over non-capped paths."""
         ok = ~self.capped
         if not ok.any():
-            raise CappedWalkError(float("nan"), POISSON_STEP_CAP)
+            raise CappedWalkError(f"every walk hit the {POISSON_STEP_CAP}-step cap")
         return float(self.scores[ok].mean())
 
     def standard_error(self) -> float:
@@ -102,22 +100,23 @@ class PathFunctionalSpec:
     source: Callable = None
     exterior: Callable = None
     initial: Callable = None
-    inner_samples: int = 32  # nodes n of the occupation rule, exact to degree 2n-1
+    # nodes n of the occupation rule, exact to degree 2n-1
+    inner_samples: int = OCCUPATION_NODES
 
 
-def expected_exit_coeff(alpha: float, d: int = 1) -> float:
+def expected_exit_coeff(alpha: float) -> float:
     """Constant relating ball radius to expected exit time: E[tau] = C r^alpha."""
     return float(
-        sp.gamma(d / 2)
-        / (2**alpha * sp.gamma(1 + alpha / 2) * sp.gamma((d + alpha) / 2))
+        sp.gamma(0.5)
+        / (2**alpha * sp.gamma(1 + alpha / 2) * sp.gamma((1 + alpha) / 2))
     )
 
 
-def fixed_radius(dt: float, alpha: float, d: int = 1) -> float:
+def fixed_radius(dt: float, alpha: float) -> float:
     """Ball radius whose expected stable exit time equals dt."""
     if dt <= 0:
         raise DomainError("dt must be positive")
-    return float((dt / expected_exit_coeff(alpha, d)) ** (1.0 / alpha))
+    return float((dt / expected_exit_coeff(alpha)) ** (1.0 / alpha))
 
 
 def zeta_closed(offset, radius, alpha: float):
@@ -289,7 +288,6 @@ def poisson_walks(
     alpha: float,
     stream: RngStream,
     n_paths: int,
-    step_cap: int = POISSON_STEP_CAP,
 ) -> WalkBatch:
     """Simulate n_paths walk-on-spheres paths from x0, vectorized per step.
 
@@ -313,7 +311,7 @@ def poisson_walks(
     gamma1a = sp.gamma(1 + alpha)
 
     n_steps = 0
-    while active.any() and n_steps < step_cap:
+    while active.any() and n_steps < POISSON_STEP_CAP:
         n_steps += 1
         idx = np.nonzero(active)[0]
         x = pos[idx]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracsmc.parabolic import ParabolicConfig, st_residual_source, stsmc_solve
+from fracsmc.poisson import Solution
 from fracsmc.presets import parabolic_poly_preset, parabolic_sine_preset
 
 
@@ -64,6 +65,36 @@ class TestStsmcSolve:
             sol(xs, np.zeros_like(xs)), pre.initial(xs), atol=1e-4
         )
 
+    def test_solution_is_the_shared_sweep_result(self):
+        pre = parabolic_poly_preset(0.7)
+        cfg = ParabolicConfig(
+            alpha=0.7, n_x=2, n_t=3, final_time=0.5,
+            n_walks=20, n_sub=16, seed=4, k_max=3,
+        )
+        sol = stsmc_solve(cfg, pre.source, pre.initial)
+        assert isinstance(sol, Solution) and sol.config is cfg
+        assert sol.converged == (sol.stop_reason == "tol")
+        xs = np.linspace(-0.9, 0.9, 6)
+        ts = np.linspace(0.05, 0.5, 6)
+        np.testing.assert_array_equal(sol(xs, ts), sol.interpolant(xs, ts))
+
+    def test_reference_evaluated_once_per_solve(self):
+        pre = parabolic_poly_preset(0.8)
+        calls = []
+
+        def reference(x, t):
+            calls.append(len(x))
+            return pre.solution(x, t)
+
+        cfg = ParabolicConfig(
+            alpha=0.8, n_x=2, n_t=3, final_time=0.5,
+            n_walks=20, n_sub=16, seed=11, k_max=3,
+        )
+        sol = stsmc_solve(cfg, pre.source, pre.initial, reference=reference)
+        plain = stsmc_solve(cfg, pre.source, pre.initial, reference=pre.solution)
+        assert len(sol.history) > 1 and len(calls) == 1
+        assert [h.e_inf for h in sol.history] == [h.e_inf for h in plain.history]
+
 
 class TestStResidual:
     def test_vanishes_for_exact_tensor_values(self):
@@ -95,3 +126,15 @@ class TestConfigValidation:
                 alpha=1.0, n_x=2, n_t=2, final_time=0.0,
                 n_walks=10, seed=0,
             ).validate()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(final_time=np.nan), dict(final_time=np.inf), dict(tol=np.inf),
+         dict(tol=np.nan), dict(tol=0.0), dict(seed=-1)],
+    )
+    def test_rejects_what_the_cli_rejects(self, bad):
+        # final_time = nan used to give NaN node values, final_time = inf
+        # zeros reported as converged
+        kwargs = dict(alpha=1.0, n_x=2, n_t=2, final_time=1.0, n_walks=10)
+        with pytest.raises(ValueError, match="final_time|tol|seed"):
+            ParabolicConfig(**{**kwargs, **bad}).validate()

@@ -75,6 +75,31 @@ class TestSmcSolve:
         with pytest.raises(ValueError, match="rounds to -1"):
             PoissonConfig(alpha=1e-300, n_x=2, n_walks=10).validate()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(tol=np.inf), dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-12),
+         dict(seed=-1)],
+    )
+    def test_config_rejects_what_the_cli_rejects(self, bad):
+        # tol = inf used to stop after one sweep as "converged"; seed = -1
+        # used to fail inside numpy's seeding
+        with pytest.raises(ValueError, match="tol|seed"):
+            PoissonConfig(alpha=1.0, n_x=2, n_walks=10, **bad).validate()
+
+    def test_reference_evaluated_once_per_solve(self):
+        pre = poly_preset(0.8)
+        calls = []
+
+        def reference(x):
+            calls.append(len(x))
+            return pre.solution(x)
+
+        cfg = PoissonConfig(alpha=0.8, n_x=2, n_walks=20, seed=3, k_max=3)
+        sol = smc_solve(cfg, pre.source, reference=reference)
+        plain = smc_solve(cfg, pre.source, reference=pre.solution)
+        assert len(sol.history) > 1 and len(calls) == 1
+        assert [h.e_inf for h in sol.history] == [h.e_inf for h in plain.history]
+
     def test_rule_smaller_than_the_residual_degree_rejected(self):
         # the occupation rule must be exact on degree n_x: inner_samples
         # >= ceil((n_x+1)/2)

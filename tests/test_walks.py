@@ -14,8 +14,11 @@ from fracsmc.rng import RngStream
 from fracsmc.specfun import DomainError
 from fracsmc.walks import (
     JUMP_LAW_VERBATIM,
+    POISSON_STEP_CAP,
     BallGeometry,
+    CappedWalkError,
     PathFunctionalSpec,
+    WalkBatch,
     expected_exit_coeff,
     fixed_radius,
     greens_q,
@@ -224,6 +227,20 @@ class TestPoissonWalk:
         spec = PathFunctionalSpec(source=None, exterior=lambda x: np.zeros_like(x))
         with pytest.raises(DomainError):
             poisson_walks(1.0, spec, 0.8, RngStream(0), 10)
+
+    def test_mean_score_of_an_all_capped_batch_raises(self):
+        n = 4
+        batch = WalkBatch(
+            scores=np.ones(n),
+            steps=np.full(n, POISSON_STEP_CAP),
+            exit_points=np.full(n, np.nan),
+            exited=np.zeros(n, dtype=bool),
+            capped=np.ones(n, dtype=bool),
+        )
+        with pytest.raises(CappedWalkError, match="step cap"):
+            batch.mean_score()
+        batch.capped[0] = False
+        assert batch.mean_score() == 1.0
 
 
 class TestParabolicWalk:
