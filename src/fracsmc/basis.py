@@ -134,6 +134,10 @@ def eval_interpolant(f: Interpolant1D, x):
     grid = f.grid
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
+    # Barycentric on purpose: it returns the node values exactly at the
+    # nodes, where the modal series w * sum_n modal_n P_n is off by ~1e-15
+    # at N_x = 2 and ~2e-13 at N_x = 64 for unit-size node values.  Swapped
+    # in, the series moves every e_inf row of a poisson_u1 report.
     h = lagrange_cardinal(grid.nodes, flat)  # (j, x)
     one_m = 1.0 - flat * flat
     ratio = np.where(
@@ -235,12 +239,19 @@ def _eval_st_series(f: SpaceTimeInterpolant, weighted, plain, x, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     alpha = f.grid.alpha
     L = _shifted_legendre(f.tgrid.N_t, t, f.tgrid.T).reshape(f.tgrid.N_t + 1, -1)
-    one_m = 1.0 - x * x
-    w = np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
+    # The Jacobi table is the largest array of a walk's residual call, so it
+    # is released before the weight is built.  At the higher peak, glibc
+    # trimmed the heap top after nearly every parabolic walk and the loop
+    # page-faulted it back in.
     P = jacobi_eval_all(f.grid.N_x, JacobiIndex(alpha / 2, alpha / 2), x)
-    out = w * np.einsum("p...,p...->...", P, (weighted @ L).reshape((-1,) + t.shape))
+    out = np.einsum("p...,p...->...", P, (weighted @ L).reshape((-1,) + t.shape))
     if plain is not None:
-        out += np.einsum("p...,p...->...", P, (plain @ L).reshape((-1,) + t.shape))
+        rest = np.einsum("p...,p...->...", P, (plain @ L).reshape((-1,) + t.shape))
+    del P
+    one_m = 1.0 - x * x
+    out *= np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
+    if plain is not None:
+        out += rest
     return out
 
 

@@ -22,8 +22,14 @@ from .parabolic import ParabolicConfig, stsmc_solve
 from .poisson import PoissonConfig, smc_solve
 from .rng import RngStream
 
-_POISSON_PRESETS = ("u1", "u2", "source_sin")
-_PARABOLIC_PRESETS = ("u1_parabolic", "u2_parabolic")
+# preset name -> (equation, builder taking alpha)
+_PRESETS = {
+    "u1": ("poisson", presets.poly_preset),
+    "u2": ("poisson", presets.sine_preset),
+    "source_sin": ("poisson", presets.sin_source_preset),
+    "u1_parabolic": ("parabolic", presets.parabolic_poly_preset),
+    "u2_parabolic": ("parabolic", presets.parabolic_sine_preset),
+}
 
 
 class ConfigError(ValueError):
@@ -52,7 +58,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.equation not in ("poisson", "parabolic"):
             raise ConfigError(f"unknown equation {self.equation!r}")
-        wanted = _POISSON_PRESETS if self.equation == "poisson" else _PARABOLIC_PRESETS
+        wanted = tuple(p for p, (eq, _) in _PRESETS.items() if eq == self.equation)
         if self.preset not in wanted:
             raise ConfigError(
                 f"preset {self.preset!r} not valid for {self.equation}; "
@@ -162,13 +168,8 @@ def write_report(path: str, cfg: ExperimentConfig, history, timings: bool) -> No
 
 def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
     """Solve one experiment and write its report; n_threads has no effect."""
+    pre = _PRESETS[cfg.preset][1](cfg.alpha)
     if cfg.equation == "poisson":
-        if cfg.preset == "u1":
-            pre = presets.poly_preset(cfg.alpha)
-        elif cfg.preset == "u2":
-            pre = presets.sine_preset(cfg.alpha)
-        else:
-            pre = presets.sin_source_preset(cfg.alpha)
         pcfg = PoissonConfig(
             alpha=cfg.alpha,
             n_x=cfg.n_x,
@@ -180,10 +181,6 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
         )
         sol = smc_solve(pcfg, pre.source, reference=pre.solution)
     else:
-        if cfg.preset == "u1_parabolic":
-            pre = presets.parabolic_poly_preset(cfg.alpha, T=cfg.t_final)
-        else:
-            pre = presets.parabolic_sine_preset(cfg.alpha, T=cfg.t_final)
         scfg = ParabolicConfig(
             alpha=cfg.alpha,
             n_x=cfg.n_x,
@@ -292,7 +289,7 @@ def _suite_walk(failures: list, seed: int) -> None:
         )
     for alpha in (0.6, 1.4):
         geom = walks.BallGeometry(center=0.1, radius=0.7)
-        quad = walks.occupation_zeta(0.3, geom, alpha)
+        quad = oracles.occupation_zeta(0.3, geom, alpha)
         closed = walks.zeta_closed(0.2, 0.7, alpha)
         rel = abs(quad / closed - 1)
         _check(

@@ -3,12 +3,15 @@
 The fractional Laplacian is evaluated straight from its principal-value
 integral, the reference solution comes from a deterministic diagonal
 Galerkin projection, and the stable process is simulated step by step
-with Chambers-Mallows-Stuck increments.  These referees are low-accuracy
-by design; they tie the spectral identities and the walk kernels to
-ground truth.  They share with the solver the Jacobi recurrence, norms
-and Gauss rules of specfun, basis.gjf_eval, walks.expected_exit_coeff
-and the reference jump inversion walks.sample_jump_scaled (which the
-kernels do not call); the integral, CMS and Euler code is their own.
+with Chambers-Mallows-Stuck increments.  The occupation density of a ball
+(greens_q) and its quadrature (occupation_zeta) check the closed-form
+exit time walks.zeta_closed.  These referees are low-accuracy by design;
+they tie the spectral identities and the walk kernels to ground truth.
+They share with the solver the Jacobi recurrence, norms and Gauss rules
+of specfun, basis.eval_jacobi_series, and from walks BallGeometry,
+expected_exit_coeff and the reference jump inversion sample_jump_scaled
+(which the kernels do not call); the integral, Green's function, CMS and
+Euler code is their own.  No solver module imports this one.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .basis import gjf_eval
+from .basis import eval_jacobi_series
 from .specfun import DomainError, JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
 from .walks import (
     JUMP_LAW_EXIT,
     JUMP_LAW_VERBATIM,
+    BallGeometry,
     expected_exit_coeff,
     sample_jump_scaled,
 )
@@ -140,17 +144,13 @@ class GalerkinSolution:
     alpha: float
     coefficients: np.ndarray = field(repr=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = JacobiIndex(self.alpha / 2, self.alpha / 2)
-        P = jacobi_eval_all(self.degree, idx, x)
+        """Evaluate at x, keeping its shape; a scalar x gives a float."""
+        x = np.asarray(x, dtype=float)
         one_m = 1.0 - x * x
         w = np.where(one_m > 0, np.abs(one_m) ** (self.alpha / 2), 0.0)
-        return w * np.einsum("m,mx->x", self.coefficients, P)
+        out = w * eval_jacobi_series(self.coefficients, self.alpha, x)
+        return float(out) if out.ndim == 0 else out
 
 
 def galerkin_solve(f, alpha: float, N: int) -> GalerkinSolution:
@@ -261,16 +261,53 @@ def gjf_identity_rhs(n: int, alpha: float, x):
     return factor * jacobi_eval_all(n, JacobiIndex(alpha / 2, alpha / 2), np.atleast_1d(np.asarray(x, float)))[n]
 
 
-__all__ = [
-    "FracLapOracleConfig",
-    "GalerkinSolution",
-    "QuadratureFailure",
-    "euler_stable_exit",
-    "frac_laplacian_direct",
-    "galerkin_solve",
-    "gjf_eval",
-    "gjf_identity_rhs",
-    "jump_law_ks",
-    "normalization_constant",
-    "sample_symmetric_stable",
-]
+def greens_q(x, y, r: float, alpha: float):
+    """Occupation density Q(x, y) of the stable process in the ball |.| < r.
+
+    Ball centered at the origin; vectorized in x, y.  For alpha = 2 this is
+    the classical interval Green's function.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(x) >= r) or np.any(np.abs(y) >= r):
+        raise DomainError("greens_q requires |x| < r and |y| < r")
+    if np.any(x == y):
+        raise DomainError("greens_q is singular at x = y")
+    if alpha == 2:
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        out = (r + lo) * (r - hi) / (2 * r)
+    else:
+        rho = (r * r - x * x) * (r * r - y * y) / (r * r * (y - x) ** 2)
+        if alpha == 1:
+            # hyp2f1(1/2, 1/2, 3/2, -rho) overflows in scipy for huge rho;
+            # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
+            out = np.arcsinh(np.sqrt(rho)) / np.pi
+        else:
+            coeff = 1.0 / (2**alpha * sp.gamma(alpha / 2) ** 2)
+            inner = (2 / alpha) * rho ** (alpha / 2) * sp.hyp2f1(
+                0.5, alpha / 2, 1 + alpha / 2, -rho
+            )
+            out = coeff * np.abs(y - x) ** (alpha - 1) * inner
+    return float(out) if out.ndim == 0 else out
+
+
+def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:
+    """Integral of Q(x, .) over the ball, by adaptive quadrature.
+
+    Equals the expected first-exit time from the ball started at x; the
+    fast closed form walks.zeta_closed is cross-checked against this in tests.
+    """
+    xi = x - geom.center
+    r = geom.radius
+    if abs(xi) >= r:
+        raise DomainError("occupation_zeta requires x inside the ball")
+    val, _ = integrate.quad(
+        lambda y: greens_q(xi, y, r, alpha),
+        -r,
+        r,
+        points=[xi],
+        limit=300,
+        epsabs=0.0,
+        epsrel=1e-10,
+    )
+    return float(val)

@@ -22,8 +22,6 @@ from .specfun import JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
 class SteadyPreset:
     """Exact solution / source pair for the steady problem."""
 
-    name: str
-    alpha: float
     solution: Callable = field(repr=False)
     source: Callable = field(repr=False)
 
@@ -32,9 +30,6 @@ class SteadyPreset:
 class ParabolicPreset:
     """Exact solution, source, and initial data for the evolution problem."""
 
-    name: str
-    alpha: float
-    final_time: float
     solution: Callable = field(repr=False)  # u(x, t)
     source: Callable = field(repr=False)  # f(x, t)
     initial: Callable = field(repr=False)  # u(x, 0)
@@ -74,13 +69,13 @@ def _series_pair(alpha: float, smooth, degree: int):
 def poly_preset(alpha: float) -> SteadyPreset:
     """(1 - x^2)^(alpha/2) (x^2 + x + 1) and its exact polynomial source."""
     u, f = _series_pair(alpha, lambda x: x * x + x + 1.0, 2)
-    return SteadyPreset(name="poly", alpha=alpha, solution=u, source=f)
+    return SteadyPreset(solution=u, source=f)
 
 
 def sine_preset(alpha: float) -> SteadyPreset:
     """(1 - x^2)^(alpha/2) sin(x) via a degree-50 modal expansion."""
     u, f = _series_pair(alpha, np.sin, 50)
-    return SteadyPreset(name="sine", alpha=alpha, solution=u, source=f)
+    return SteadyPreset(solution=u, source=f)
 
 
 def sin_source_preset(alpha: float) -> SteadyPreset:
@@ -93,14 +88,12 @@ def sin_source_preset(alpha: float) -> SteadyPreset:
     modal_f = _modal_coefficients(alpha, np.sin, degree)
     lam = frac_diag_factor(np.arange(degree + 1), alpha)
     return SteadyPreset(
-        name="sin-source",
-        alpha=alpha,
         solution=_weighted_series(modal_f / lam, alpha),
         source=lambda x: np.sin(x),
     )
 
 
-def _parabolic_from_series(name, alpha, T, smooth, degree):
+def _parabolic_from_series(alpha, smooth, degree):
     """Separable solution u(x,t) = X(x) cos(t) with its matched source."""
     modal = _modal_coefficients(alpha, smooth, degree)
     flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
@@ -120,21 +113,14 @@ def _parabolic_from_series(name, alpha, T, smooth, degree):
         flap = np.einsum("n,nx->x", flap_modal, P).reshape(x.shape)
         return -X * np.sin(t) + flap * np.cos(t)
 
-    return ParabolicPreset(
-        name=name,
-        alpha=alpha,
-        final_time=T,
-        solution=u,
-        source=f,
-        initial=space,
-    )
+    return ParabolicPreset(solution=u, source=f, initial=space)
 
 
 def parabolic_poly_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
-    """(1-x^2)^(a/2) (x^2 + x + 1) cos(t)."""
-    return _parabolic_from_series("poly-cos", alpha, T, lambda x: x * x + x + 1.0, 2)
+    """(1-x^2)^(a/2) (x^2 + x + 1) cos(t); it holds for every t, so T is not read."""
+    return _parabolic_from_series(alpha, lambda x: x * x + x + 1.0, 2)
 
 
 def parabolic_sine_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
-    """(1-x^2)^(a/2) sin(x) cos(t), by a degree-50 modal expansion."""
-    return _parabolic_from_series("sine-cos", alpha, T, np.sin, 50)
+    """(1-x^2)^(a/2) sin(x) cos(t), by a degree-50 modal expansion; T is not read."""
+    return _parabolic_from_series(alpha, np.sin, 50)

@@ -33,7 +33,6 @@ class JacobiIndex:
 class QuadratureRule:
     """Gauss nodes/weights for a Jacobi weight on (-1, 1)."""
 
-    index: JacobiIndex
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -114,7 +113,7 @@ def jacobi_gauss(N: int, index: JacobiIndex) -> QuadratureRule:
         # enforce exact mirror symmetry, eigh only gets it to rounding
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(index=index, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def legendre_gauss_shifted(N: int, T: float) -> QuadratureRule:
@@ -124,4 +123,4 @@ def legendre_gauss_shifted(N: int, T: float) -> QuadratureRule:
     base = jacobi_gauss(N, JacobiIndex(0.0, 0.0))
     nodes = 0.5 * T * (base.nodes + 1.0)
     weights = 0.5 * T * base.weights
-    return QuadratureRule(index=base.index, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)

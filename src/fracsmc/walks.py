@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .rng import RngStream
@@ -128,58 +127,6 @@ def zeta_closed(offset, radius, alpha: float):
     offset = np.asarray(offset, dtype=float)
     out = np.abs(radius**2 - offset**2) ** (alpha / 2) / sp.gamma(1 + alpha)
     return float(out) if out.ndim == 0 else out
-
-
-def greens_q(x, y, r: float, alpha: float):
-    """Occupation density Q(x, y) of the stable process in the ball |.| < r.
-
-    Ball centered at the origin; vectorized in x, y.  For alpha = 2 this is
-    the classical interval Green's function.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(x) >= r) or np.any(np.abs(y) >= r):
-        raise DomainError("greens_q requires |x| < r and |y| < r")
-    if np.any(x == y):
-        raise DomainError("greens_q is singular at x = y")
-    if alpha == 2:
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        out = (r + lo) * (r - hi) / (2 * r)
-    else:
-        rho = (r * r - x * x) * (r * r - y * y) / (r * r * (y - x) ** 2)
-        if alpha == 1:
-            # hyp2f1(1/2, 1/2, 3/2, -rho) overflows in scipy for huge rho;
-            # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
-            out = np.arcsinh(np.sqrt(rho)) / np.pi
-        else:
-            coeff = 1.0 / (2**alpha * sp.gamma(alpha / 2) ** 2)
-            inner = (2 / alpha) * rho ** (alpha / 2) * sp.hyp2f1(
-                0.5, alpha / 2, 1 + alpha / 2, -rho
-            )
-            out = coeff * np.abs(y - x) ** (alpha - 1) * inner
-    return float(out) if out.ndim == 0 else out
-
-
-def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:
-    """Integral of Q(x, .) over the ball, by adaptive quadrature.
-
-    Equals the expected first-exit time from the ball started at x; the
-    fast closed form zeta_closed is cross-checked against this in tests.
-    """
-    xi = x - geom.center
-    r = geom.radius
-    if abs(xi) >= r:
-        raise DomainError("occupation_zeta requires x inside the ball")
-    val, _ = integrate.quad(
-        lambda y: greens_q(xi, y, r, alpha),
-        -r,
-        r,
-        points=[xi],
-        limit=300,
-        epsabs=0.0,
-        epsrel=1e-10,
-    )
-    return float(val)
 
 
 def sample_jump(rng: np.random.Generator, alpha: float, size=None):
@@ -398,11 +345,11 @@ def parabolic_walks(
         # be outside the domain); the times are one row shared by all paths
         targ = ((n_sub - ell) * dt)[None, :]
         pos_safe = np.where(in_prefix, posn, 0.0)
-        fv = np.where(in_prefix, spec.source(pos_safe, np.maximum(targ, 0.0)), 0.0)
+        fv = np.where(in_prefix, spec.source(pos_safe, targ), 0.0)
         weight = np.where(
             (ell[None, :] == 0) | (ell[None, :] == L[:, None]), 0.5, 1.0
         )
-        q = dt * np.sum(np.where(in_prefix, weight * fv, 0.0), axis=1)
+        q = dt * np.sum(weight * fv, axis=1)
         scores += np.where(L >= 1, q, 0.0)
     rows = np.arange(n_paths)
     # stop point: first outside position for exited paths, else the final one

@@ -82,7 +82,7 @@ def test_criterion_04_exit_time_identity():
     ok = True
     for alpha in (0.6, 1.4):
         geom = walks.BallGeometry(center=0.0, radius=0.8)
-        quad = walks.occupation_zeta(0.0, geom, alpha)
+        quad = oracles.occupation_zeta(0.0, geom, alpha)
         closed = walks.zeta_closed(0.0, 0.8, alpha)
         rel_q = abs(quad / closed - 1)
         dt = closed / 400

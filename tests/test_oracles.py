@@ -4,10 +4,16 @@ The oracles are validated against closed forms and against each other so
 the solver tests can lean on them as independent ground truth.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import fracsmc
 from fracsmc.basis import gjf_eval
 from fracsmc.oracles import (
     QuadratureFailure,
@@ -77,6 +83,16 @@ class TestGalerkin:
         assert np.max(np.abs(sol_small(xs) - sol_big(xs))) < 1e-12
         assert abs(sol_big.coefficients[-1]) < 1e-20
 
+    def test_output_shape_follows_input_shape(self):
+        sol = galerkin_solve(np.sin, 1.2, 10)
+        point = sol(0.3)
+        assert isinstance(point, float)
+        assert point == sol(np.array([0.3]))[0]
+        xs = np.linspace(-0.9, 0.9, 6)
+        row = sol(xs)
+        assert row.shape == (6,)
+        np.testing.assert_array_equal(sol(xs.reshape(2, 3)), row.reshape(2, 3))
+
 
 class TestStableSampler:
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4, 2.0])
@@ -110,3 +126,20 @@ class TestEulerExit:
         rng = np.random.default_rng(34)
         loc, steps, capped = euler_stable_exit(0.2, 0.5, 1.0, 1e-4, rng, 2_000)
         assert np.all(np.abs(loc[~capped] - 0.0) >= 0.5)
+
+
+def test_solver_modules_do_not_load_the_referees():
+    # the module graph runs solver -> referee -> CLI, so a solve never
+    # pays for the referees or their scipy.integrate; a fresh interpreter
+    # shows what the imports alone load
+    code = (
+        "import sys\n"
+        "import fracsmc.poisson, fracsmc.parabolic, fracsmc.presets, fracsmc.walks\n"
+        "print([m for m in ('fracsmc.oracles', 'scipy.integrate') if m in sys.modules])"
+    )
+    src = Path(fracsmc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

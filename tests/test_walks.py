@@ -10,6 +10,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
+from fracsmc.oracles import greens_q, occupation_zeta
 from fracsmc.rng import RngStream
 from fracsmc.specfun import DomainError
 from fracsmc.walks import (
@@ -21,9 +22,7 @@ from fracsmc.walks import (
     WalkBatch,
     expected_exit_coeff,
     fixed_radius,
-    greens_q,
     occupation_rule,
-    occupation_zeta,
     parabolic_walks,
     poisson_walks,
     sample_direction_1d,
