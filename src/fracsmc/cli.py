@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import basis, oracles, presets, specfun, walks
-from .parabolic import ParabolicConfig, stsmc_solve
+from .parabolic import ParabolicConfig, check_step_radius, stsmc_solve
 from .poisson import PoissonConfig, smc_solve
 from .rng import RngStream
 
@@ -83,6 +83,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     "parabolic runs need n_t >= 1, finite t_final > 0, n_sub >= 1"
                 )
+            try:
+                check_step_radius(self.t_final, self.n_sub, self.alpha)
+            except specfun.DomainError as exc:
+                raise ConfigError(str(exc)) from exc
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.seed < 0:

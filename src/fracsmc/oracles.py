@@ -11,7 +11,10 @@ They share with the solver the Jacobi recurrence, norms and Gauss rules
 of specfun, basis.eval_jacobi_series, and from walks BallGeometry,
 expected_exit_coeff and the reference jump inversion sample_jump_scaled
 (which the kernels do not call); the integral, Green's function, CMS and
-Euler code is their own.  No solver module imports this one.
+Euler code is their own.  No solver module imports this one.  The CLI
+imports it for its validate suites, so the referees import
+scipy.integrate and scipy.stats only when they run: a `fracsmc run`
+loads neither.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .basis import eval_jacobi_series
@@ -78,6 +80,11 @@ def frac_laplacian_direct(
         raise DomainError("frac_laplacian_direct requires interior x")
     if not 0 < alpha < 2:
         raise DomainError("direct evaluation requires alpha in (0, 2)")
+    # scipy.integrate and what it loads (optimize, sparse, linalg) cost
+    # ~0.3 s to import and only the referees that integrate need them,
+    # so a plain `fracsmc run` does not load them
+    from scipy import integrate
+
     C = normalization_constant(alpha)
     user_u = u
     # QUADPACK wants plain scalars back even if the callback vectorizes
@@ -301,6 +308,8 @@ def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:
     r = geom.radius
     if abs(xi) >= r:
         raise DomainError("occupation_zeta requires x inside the ball")
+    from scipy import integrate  # lazily, as in frac_laplacian_direct
+
     val, _ = integrate.quad(
         lambda y: greens_q(xi, y, r, alpha),
         -r,

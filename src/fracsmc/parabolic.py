@@ -25,7 +25,8 @@ from .basis import (
     st_operator,
 )
 from .poisson import Solution, run_sweeps
-from .walks import PathFunctionalSpec, parabolic_walks
+from .specfun import DomainError
+from .walks import PathFunctionalSpec, fixed_radius, parabolic_walks
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,29 @@ class ParabolicConfig:
             raise ValueError(
                 "n_x, n_t, n_walks, n_sub and k_max must be positive"
             )
+        check_step_radius(self.final_time, self.n_sub, self.alpha)
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
+    """Reject a subdivision whose jumps leave the domain at once.
+
+    The walk from the latest time node jumps at most the radius r of
+    dt = final_time / n_sub, and every jump is at least r long, so from any
+    start in (-1, 1) a radius r >= 2 ends every path on its first jump.
+    Raises DomainError (a ValueError) when r is not finite or is >= 2.
+    """
+    dt = final_time / n_sub
+    r = fixed_radius(dt, alpha)
+    if not r < 2:
+        raise DomainError(
+            f"the walk radius for t_final/n_sub = {dt:.3g} at alpha = {alpha} "
+            f"is {r:.3g} >= 2, so every path leaves on its first jump; "
+            "raise n_sub or lower t_final"
+        )
 
 
 def st_residual_source(interp: SpaceTimeInterpolant, source):

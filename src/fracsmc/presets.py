@@ -116,11 +116,11 @@ def _parabolic_from_series(alpha, smooth, degree):
     return ParabolicPreset(solution=u, source=f, initial=space)
 
 
-def parabolic_poly_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
-    """(1-x^2)^(a/2) (x^2 + x + 1) cos(t); it holds for every t, so T is not read."""
+def parabolic_poly_preset(alpha: float) -> ParabolicPreset:
+    """(1-x^2)^(a/2) (x^2 + x + 1) cos(t), for every t."""
     return _parabolic_from_series(alpha, lambda x: x * x + x + 1.0, 2)
 
 
-def parabolic_sine_preset(alpha: float, T: float = 0.5) -> ParabolicPreset:
-    """(1-x^2)^(a/2) sin(x) cos(t), by a degree-50 modal expansion; T is not read."""
+def parabolic_sine_preset(alpha: float) -> ParabolicPreset:
+    """(1-x^2)^(a/2) sin(x) cos(t), for every t, by a degree-50 modal expansion."""
     return _parabolic_from_series(alpha, np.sin, 50)

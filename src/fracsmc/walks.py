@@ -115,7 +115,15 @@ def fixed_radius(dt: float, alpha: float) -> float:
     """Ball radius whose expected stable exit time equals dt."""
     if dt <= 0:
         raise DomainError("dt must be positive")
-    return float((dt / expected_exit_coeff(alpha)) ** (1.0 / alpha))
+    try:
+        r = (dt / expected_exit_coeff(alpha)) ** (1.0 / alpha)
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
+        raise DomainError(
+            f"the walk radius for dt = {dt:.3g} at alpha = {alpha} is not finite"
+        )
+    return float(r)
 
 
 def zeta_closed(offset, radius, alpha: float):

@@ -133,7 +133,7 @@ def test_criterion_07_parabolic_poly():
     # bias of the fixed-radius walk is amplified by the high-order modal
     # factors of this solution
     for alpha, n_sub, k_max in ((0.4, 64, 12), (2.0, 256, 20)):
-        pre = parabolic_poly_preset(alpha, T=0.5)
+        pre = parabolic_poly_preset(alpha)
         cfg = ParabolicConfig(
             alpha=alpha, n_x=6, n_t=6, final_time=0.5,
             n_walks=100, n_sub=n_sub, seed=1, k_max=k_max,

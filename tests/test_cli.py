@@ -1,6 +1,9 @@
 """Config parsing, report writing, and exit-code behavior of the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracsmc
 from fracsmc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +20,7 @@ from fracsmc.cli import (
     main,
     parse_config,
 )
+from fracsmc.walks import fixed_radius
 
 GOOD = """
 # steady test run
@@ -125,6 +130,8 @@ class TestConfigProperties:
         assert parabolic or cfg.alpha / 2 - 1 > -1
         if parabolic:
             assert math.isfinite(cfg.t_final) and cfg.t_final > 0
+            # a radius of 2 or more ends every path on its first jump
+            assert fixed_radius(cfg.t_final / cfg.n_sub, cfg.alpha) < 2
 
 
 class TestFmt:
@@ -194,9 +201,10 @@ class TestMainExitCodes:
         import fracsmc.cli as cli
 
         def solve(*args, **kwargs):
-            raise AssertionError("solved although the report cannot be written")
+            raise AssertionError("solved although the run cannot succeed")
 
         monkeypatch.setattr(cli, "smc_solve", solve)
+        monkeypatch.setattr(cli, "stsmc_solve", solve)
 
     def test_missing_report_directory_exits_2_before_solving(self, tmp_path, monkeypatch):
         self._forbid_solving(monkeypatch)
@@ -241,6 +249,25 @@ class TestMainExitCodes:
         assert main(["run", self._write(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: m1 = 4") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_final", ["1e200", "1000"])
+    def test_walk_radius_past_the_domain_exits_2_before_solving(
+        self, t_final, tmp_path, monkeypatch, capsys
+    ):
+        # at alpha = 0.4 and n_sub = 64, t_final = 1e200 overflowed the
+        # radius (a traceback) and t_final = 1000 gives r = 716, where every
+        # path left on its first jump and the run reported "stopped by tol"
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "r.csv"
+        text = (
+            PARABOLIC.replace("alpha = 1.0", "alpha = 0.4")
+            .replace("n_sub = 8", "n_sub = 64")
+            .replace("t_final = 0.5", f"t_final = {t_final}")
+        )
+        assert main(["run", self._write(tmp_path, text + f"out = {out}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the walk radius") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"
@@ -358,3 +385,44 @@ class TestDeterminism:
         assert main(["run", str(cfgp), "--threads", "1"]) == 0
         for row in out.read_text().splitlines()[2:]:
             assert row.endswith(",")
+
+
+def _fresh_interpreter(*args):
+    """Run python with these arguments and this checkout's fracsmc on the path."""
+    src = Path(fracsmc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+class TestColdRun:
+    # scipy submodules that only the referees and validate suites use; each
+    # costs a tenth of a second or more to import, which a solve would pay
+    # on every `fracsmc run`
+    HEAVY = (
+        "scipy.integrate",
+        "scipy.optimize",
+        "scipy.sparse",
+        "scipy.linalg",
+        "scipy.stats",
+        "scipy.interpolate",
+    )
+
+    def test_run_loads_no_referee_scipy_submodule(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from fracsmc.cli import main\n"
+            "rc = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            f"print(rc, sorted(m for m in {self.HEAVY!r} if m in sys.modules))"
+        )
+        cfg = str(BUNDLED / "poisson_u1_alpha04.cfg")
+        proc = _fresh_interpreter("-c", code, cfg, str(tmp_path / "r.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_validate_oracle_passes_in_a_fresh_interpreter(self):
+        # the referees import scipy.integrate themselves when they integrate
+        proc = _fresh_interpreter("-m", "fracsmc.cli", "validate", "oracle")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "all checks passed"

@@ -138,3 +138,14 @@ class TestConfigValidation:
         kwargs = dict(alpha=1.0, n_x=2, n_t=2, final_time=1.0, n_walks=10)
         with pytest.raises(ValueError, match="final_time|tol|seed"):
             ParabolicConfig(**{**kwargs, **bad}).validate()
+
+    @pytest.mark.parametrize("final_time", [1e200, 1000.0])
+    def test_rejects_a_walk_radius_past_the_domain(self, final_time):
+        # at alpha = 0.4 and n_sub = 64, final_time = 1e200 overflows the
+        # fixed radius and 1000 gives r = 716: every path would leave on
+        # its first jump and the solve would stop by tol on a zero update
+        cfg = ParabolicConfig(
+            alpha=0.4, n_x=2, n_t=2, final_time=final_time, n_walks=10, n_sub=64
+        )
+        with pytest.raises(ValueError, match="radius"):
+            cfg.validate()

@@ -122,6 +122,11 @@ class TestOccupation:
         r = fixed_radius(dt, alpha)
         assert expected_exit_coeff(alpha) * r**alpha == pytest.approx(dt, rel=1e-12)
 
+    @pytest.mark.parametrize("dt", [1e200, np.inf, np.nan])
+    def test_fixed_radius_that_is_not_finite_is_a_domain_error(self, dt):
+        with pytest.raises(DomainError, match="not finite"):
+            fixed_radius(dt, 0.4)
+
     def test_greens_q_rejects_diagonal(self):
         with pytest.raises(DomainError):
             greens_q(0.2, 0.2, 1.0, 0.8)
