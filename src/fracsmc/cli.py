@@ -206,7 +206,9 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
     last = sol.history[-1]
-    hint = "; resolution-limited: raise n_x/n_t" if sol.stop_reason == "stalled" else ""
+    finer = "n_x/n_t or n_sub" if cfg.equation == "parabolic" else "n_x/n_t"
+    hint = f"; resolution-limited: raise {finer}"
+    hint = hint if sol.stop_reason == "stalled" else ""
     print(
         f"{cfg.equation}/{cfg.preset}: {len(sol.history)} sweeps "
         f"(stopped by {sol.stop_reason}{hint}), "

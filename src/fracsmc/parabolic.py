@@ -3,9 +3,12 @@
 Same contraction principle as the steady solver: walk estimates at the
 tensor collocation nodes seed a space-time interpolant, and later sweeps
 walk against the residual f - u_t - (-Delta)^(alpha/2) u_k with
-homogeneous exterior and initial data.  Each node (x_i, t_j) gets its own
-fixed-radius walk over [0, t_j] so the subdivision count, not the node,
-fixes the time step.  The residual subtracts u_t + (-Delta)^(alpha/2) u_k
+homogeneous exterior and initial data.  A sweep draws one block C of unit
+walk sums (walks.unit_walk) from its stream (seed, k), and node (x_i, t_j)
+walks x_i + r_j C over [0, t_j], with r_j the fixed radius of dt = t_j /
+n_sub: common random numbers, so the nodes' noise is correlated, each
+node's correction stays unbiased and node order changes no number.
+The residual subtracts u_t + (-Delta)^(alpha/2) u_k
 in one pass (basis.st_operator): one Jacobi table at the path positions,
 and Legendre rows only at the walk's n_sub+1 distinct times.
 """
@@ -26,7 +29,13 @@ from .basis import (
 )
 from .poisson import Solution, run_sweeps
 from .specfun import DomainError
-from .walks import PathFunctionalSpec, fixed_radius, parabolic_walks
+from .walks import (
+    MAX_UNIT_JUMP,
+    PathFunctionalSpec,
+    fixed_radius,
+    parabolic_walks,
+    unit_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -61,12 +70,14 @@ class ParabolicConfig:
 
 
 def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
-    """Reject a subdivision whose jumps leave the domain at once.
+    """Reject a subdivision whose jumps leave the domain at once, or never.
 
     The walk from the latest time node jumps at most the radius r of
     dt = final_time / n_sub, and every jump is at least r long, so from any
-    start in (-1, 1) a radius r >= 2 ends every path on its first jump.
-    Raises DomainError (a ValueError) when r is not finite or is >= 2.
+    start in (-1, 1) a radius r >= 2 ends every path on its first jump.  A
+    jump is at most r * MAX_UNIT_JUMP long, so below 2 / MAX_UNIT_JUMP (r
+    underflows there as alpha -> 0) no path ever leaves.  Raises
+    DomainError (a ValueError) when r is outside that range or not finite.
     """
     dt = final_time / n_sub
     r = fixed_radius(dt, alpha)
@@ -75,6 +86,11 @@ def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
             f"the walk radius for t_final/n_sub = {dt:.3g} at alpha = {alpha} "
             f"is {r:.3g} >= 2, so every path leaves on its first jump; "
             "raise n_sub or lower t_final"
+        )
+    if not r * MAX_UNIT_JUMP >= 2:
+        raise DomainError(
+            f"the walk radius for t_final/n_sub = {dt:.3g} at alpha = {alpha} "
+            f"is {r:.3g}, so no jump can leave the domain; raise alpha or t_final/n_sub"
         )
 
 
@@ -103,16 +119,14 @@ def stsmc_solve(
     grid = make_grid(cfg.alpha, cfg.n_x)
     tgrid = make_time_grid(cfg.final_time, cfg.n_t)
 
-    def walk(spec, stream, i, j):
-        return parabolic_walks(
-            float(grid.nodes[i]),
-            float(tgrid.nodes[j]),
-            cfg.n_sub,
-            spec,
-            cfg.alpha,
-            stream,
-            cfg.n_walks,
-        )
+    def walk(spec, stream):
+        # common random numbers: every node walks the sweep's one block
+        unit = unit_walk(stream, cfg.alpha, cfg.n_walks, cfg.n_sub)
+        return [
+            parabolic_walks(float(x), float(t), spec, cfg.alpha, unit)
+            for x in grid.nodes
+            for t in tgrid.nodes
+        ]
 
     def next_spec(cur):
         # the iterate does not interpolate u0 (the time nodes are all

@@ -129,14 +129,16 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
 
     Sweep 1 walks against `first_spec`; sweep k > 1 walks against
     `next_spec(interp)` for the current interpolant and adds the mean
-    correction.  The nodal values form an array of shape `shape`; the node
-    at index tuple ij draws from stream (seed, k, *ij) through
-    `walk(spec, stream, *ij)`, so no number depends on the order in which
-    the nodes are walked.  `fit(u)` interpolates the nodal values.  With a
-    reference, e_inf is the sup error of the interpolant over the points
-    in the tuple `probe` (one array per coordinate), where the reference
-    is evaluated once; without one it is NaN.  The stop reasons are
-    described in the module docstring.
+    correction.  The nodal values form an array of shape `shape`; sweep k
+    calls `walk(spec, stream)` once with stream (seed, k) and gets one
+    WalkBatch per node in np.ndindex(shape) order.  Steady node j draws
+    from (seed, k, j); space-time nodes share (seed, k) (common random
+    numbers: correlated noise, each node unbiased).  So no number depends
+    on the order in which the nodes are walked.  `fit(u)` interpolates the
+    nodal values.  With a reference, e_inf is the sup error of the
+    interpolant over the points in the tuple `probe` (one array per
+    coordinate), where the reference is evaluated once; without one it is
+    NaN.  The stop reasons are described in the module docstring.
     """
     exact = None if reference is None else reference(*probe)
     root = RngStream(cfg.seed)
@@ -148,8 +150,7 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
         spec = first_spec if k == 1 else next_spec(interp)
-        stream = root.child(k)
-        batches = [walk(spec, stream.child(*ij), *ij) for ij in np.ndindex(shape)]
+        batches = walk(spec, root.child(k))
         est = np.array([b.mean_score() for b in batches]).reshape(shape)
         capped_rate = sum(b.n_capped for b in batches) / max(
             sum(len(b.capped) for b in batches), 1
@@ -213,8 +214,11 @@ def smc_solve(
     grid = make_grid(cfg.alpha, cfg.n_x)
     nodes = grid.nodes
 
-    def walk(spec, stream, j):
-        return poisson_walks(float(nodes[j]), spec, cfg.alpha, stream, cfg.n_walks)
+    def walk(spec, stream):
+        return [
+            poisson_walks(float(x), spec, cfg.alpha, stream.child(j), cfg.n_walks)
+            for j, x in enumerate(nodes)
+        ]
 
     def next_spec(interp):
         return PathFunctionalSpec(
@@ -235,18 +239,3 @@ def smc_solve(
         reference,
         (np.concatenate([nodes, _PROBE]),),
     )
-
-
-def empirical_contraction(history) -> float:
-    """Geometric-mean decay ratio of e_inf before it hits the noise floor.
-
-    Returns NaN when fewer than two pre-floor sweeps are available.
-    """
-    errs = [h.e_inf for h in history if np.isfinite(h.e_inf) and h.e_inf > 1e-13]
-    if len(errs) < 2:
-        return float("nan")
-    ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 0]
-    ratios = [r for r in ratios if r > 0]
-    if not ratios:
-        return float("nan")
-    return float(np.exp(np.mean(np.log(ratios))))

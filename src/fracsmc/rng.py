@@ -1,10 +1,11 @@
 """Counter-based random streams.
 
 Every consumer of randomness derives its stream from a base seed plus a
-tuple of integer ids (point index, path block, iteration, purpose, ...).
-Streams with distinct ids are statistically independent and any stream can
-be reconstructed in isolation, so the simulation order never changes the
-numbers drawn.
+tuple of integer ids (sweep, node, ...).  Streams with distinct ids are
+statistically independent and any stream can be reconstructed in
+isolation, so the simulation order never changes the numbers drawn.  Node j
+of steady sweep k draws from (seed, k, j); all nodes of a space-time sweep
+share its (seed, k) (common random numbers: correlated, each unbiased).
 """
 
 from __future__ import annotations

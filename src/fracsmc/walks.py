@@ -3,7 +3,8 @@
 Walk-on-spheres for the fractional Poisson problem (inscribed balls, exact
 ball-exit jump law, occupation-weighted source term) and the fixed-radius
 walk for the parabolic problem with a trapezoid source functional along
-the path.
+the path.  parabolic_walks draws nothing: it walks a unit_walk block, which
+all nodes of a sweep share (correlated noise, each node still unbiased).
 
 Occupation law: the normalized Green's function of the unit ball, seen
 from its center, is the law of Y = S V with S^2 ~ Beta(1/2, a/2), a
@@ -37,6 +38,7 @@ JUMP_LAW_VERBATIM = "verbatim"
 DEFAULT_JUMP_LAW = JUMP_LAW_EXIT
 
 POISSON_STEP_CAP = 100_000
+MAX_UNIT_JUMP = 1 / math.sqrt(5e-324)  # sample_jump's largest draw, ~4.5e161
 # default node count of the occupation rule (PathFunctionalSpec, PoissonConfig
 # and the `m1` config key)
 OCCUPATION_NODES = 32
@@ -141,7 +143,8 @@ def sample_jump(rng: np.random.Generator, alpha: float, size=None):
     """Exact ball-exit jump distance for unit radius: J = W^(-1/2).
 
     W ~ Beta(alpha/2, 1 - alpha/2); W is floored at the smallest subnormal
-    so J stays finite when W underflows to 0 as alpha -> 0.
+    so J stays finite (at most MAX_UNIT_JUMP) when W underflows to 0 as
+    alpha -> 0.
     """
     if not 0 < alpha < 2:
         raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
@@ -305,44 +308,47 @@ def poisson_walks(
 # parabolic fixed-radius walk
 
 
+def unit_walk(stream: RngStream, alpha: float, n_paths: int, n_sub: int) -> np.ndarray:
+    """Running sums of n_sub unit-radius ball-exit jumps, one row per path.
+
+    Returns C of shape (n_paths, n_sub+1) with C[:, 0] = 0: all jump
+    lengths are drawn first, then all signs.  At alpha = 2 every jump has
+    length 1, so C is a sign walk.  The jumps do not depend on position,
+    so x0 + r C is the fixed-radius walk of radius r from any x0.
+    """
+    rng = stream.generator()
+    c = np.zeros((n_paths, n_sub + 1))
+    c[:, 1:] = 1.0 if alpha == 2 else sample_jump(rng, alpha, (n_paths, n_sub))
+    c[:, 1:] *= sample_direction_1d(rng, size=(n_paths, n_sub))
+    return np.cumsum(c, axis=1, out=c)
+
+
 def parabolic_walks(
     x0: float,
     t_n: float,
-    n_sub: int,
     spec: PathFunctionalSpec,
     alpha: float,
-    stream: RngStream,
-    n_paths: int,
+    unit: np.ndarray,
 ) -> WalkBatch:
     """Fixed-radius walks over the uniform subdivision of [0, t_n].
 
-    Each path takes up to n_sub ball-exit jumps of the fixed radius whose
-    expected exit time is dt = t_n / n_sub.  The trapezoid functional
+    `unit` is a `unit_walk` block; its shape gives the path count and the
+    subdivision count n_sub.  Each path takes up to n_sub ball-exit jumps
+    of the fixed radius r whose expected exit time is dt = t_n / n_sub, so
+    its positions are x0 + r * unit.  The trapezoid functional
     accumulates the source backward in time along the in-domain prefix.
     """
+    n_paths, n_sub = unit.shape[0], unit.shape[1] - 1
     if t_n <= 0 or n_sub < 1:
         raise DomainError("parabolic walk requires t_n > 0 and n_sub >= 1")
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    rng = stream.generator()
     dt = t_n / n_sub
-    r = fixed_radius(dt, alpha)
-
-    # the jumps are i.i.d., so each path is drawn as one block: all jump
-    # lengths, then all signs, then the positions by one running sum
-    posn = np.empty((n_paths, n_sub + 1))
-    posn[:, 0] = x0
-    if alpha == 2:
-        posn[:, 1:] = r
-    else:
-        posn[:, 1:] = r * sample_jump(rng, alpha, (n_paths, n_sub))
-    posn[:, 1:] *= sample_direction_1d(rng, size=(n_paths, n_sub))
-    np.cumsum(posn, axis=1, out=posn)
+    posn = x0 + fixed_radius(dt, alpha) * unit
 
     outside = np.abs(posn[:, 1:]) >= 1.0  # (paths, n_sub), step ell = col ell-1
     exited = outside.any(axis=1)
-    first_out = np.where(exited, outside.argmax(axis=1) + 1, n_sub + 1)
-    L = np.where(exited, first_out - 1, n_sub)  # last in-domain index
+    L = np.where(exited, outside.argmax(axis=1), n_sub)  # last in-domain index
 
     scores = np.zeros(n_paths)
     if spec.source is not None:
@@ -365,9 +371,7 @@ def parabolic_walks(
     if spec.initial is not None and (~exited).any():
         scores[~exited] += spec.initial(posn[rows[~exited], n_sub])
     if spec.exterior is not None and exited.any():
-        scores[exited] += spec.exterior(
-            stop[exited], t_n - (L[exited] + 1) * dt
-        )
+        scores[exited] += spec.exterior(stop[exited], t_n - (L[exited] + 1) * dt)
 
     return WalkBatch(
         scores=scores,

@@ -15,9 +15,10 @@ from scipy.special import gamma as gamma_fn
 from fracsmc import basis, oracles, walks
 from fracsmc.cli import main as cli_main
 from fracsmc.parabolic import ParabolicConfig, stsmc_solve
-from fracsmc.poisson import PoissonConfig, empirical_contraction, smc_solve
+from fracsmc.poisson import PoissonConfig, smc_solve
 from fracsmc.presets import parabolic_poly_preset, poly_preset
 from fracsmc.rng import RngStream
+from helpers import empirical_contraction
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

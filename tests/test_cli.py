@@ -20,7 +20,7 @@ from fracsmc.cli import (
     main,
     parse_config,
 )
-from fracsmc.walks import fixed_radius
+from fracsmc.walks import MAX_UNIT_JUMP, fixed_radius
 
 GOOD = """
 # steady test run
@@ -130,8 +130,10 @@ class TestConfigProperties:
         assert parabolic or cfg.alpha / 2 - 1 > -1
         if parabolic:
             assert math.isfinite(cfg.t_final) and cfg.t_final > 0
-            # a radius of 2 or more ends every path on its first jump
-            assert fixed_radius(cfg.t_final / cfg.n_sub, cfg.alpha) < 2
+            # a radius of 2 or more ends every path on its first jump, and
+            # one below 2 / MAX_UNIT_JUMP lets no path leave
+            r = fixed_radius(cfg.t_final / cfg.n_sub, cfg.alpha)
+            assert 2 <= r * MAX_UNIT_JUMP and r < 2
 
 
 class TestFmt:
@@ -269,6 +271,24 @@ class TestMainExitCodes:
         assert err.startswith("error: the walk radius") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["1e-05", "0.001", "0.01"])
+    def test_walk_radius_no_jump_leaves_with_exits_2_before_solving(
+        self, alpha, tmp_path, monkeypatch, capsys
+    ):
+        # at t_final = 0.5 and n_sub = 64 the radius underflows (0.0 for
+        # alpha <= 1e-3, 1e-211 at 0.01): no path ever left, and every row
+        # reported mean_steps = 64
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "r.csv"
+        text = PARABOLIC.replace("alpha = 1.0", f"alpha = {alpha}").replace(
+            "n_sub = 8", "n_sub = 64"
+        )
+        assert main(["run", self._write(tmp_path, text + f"out = {out}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the walk radius") and err.count("\n") == 1
+        assert "no jump can leave" in err
+        assert not out.exists()
+
     def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"
         p.write_bytes(b"equation = poisson\npreset = \xff\xfe\n")
@@ -365,6 +385,19 @@ class TestStopReasons:
             k, max_update, se, e_inf, rate, mean_steps, max_steps, ms = row.split(",")
             assert float(se) > 0 and float(mean_steps) >= 1 and int(max_steps) >= 1
             assert ms == ""
+
+    def test_parabolic_stall_also_names_the_time_subdivision(self, tmp_path, capsys):
+        # a parabolic floor can be the path functional's time-step bias, so
+        # the hint names n_sub as well
+        out = tmp_path / "r.csv"
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(
+            PARABOLIC.replace("k_max = 2", "k_max = 40") + f"out = {out}\n"
+        )
+        assert main(["run", str(cfgp)]) == 0
+        line = capsys.readouterr().out
+        assert "(stopped by stalled; resolution-limited: raise n_x/n_t or n_sub)" in line
+        assert len(out.read_text().splitlines()[2:]) < 40
 
 
 class TestDeterminism:

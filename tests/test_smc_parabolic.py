@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from fracsmc import parabolic, poisson
+from fracsmc.basis import make_grid, make_time_grid
 from fracsmc.parabolic import ParabolicConfig, st_residual_source, stsmc_solve
 from fracsmc.poisson import Solution
 from fracsmc.presets import parabolic_poly_preset, parabolic_sine_preset
+from fracsmc.rng import RngStream
+from fracsmc.walks import fixed_radius, unit_walk
 
 
 class TestStsmcSolve:
@@ -96,6 +100,73 @@ class TestStsmcSolve:
         assert [h.e_inf for h in sol.history] == [h.e_inf for h in plain.history]
 
 
+class TestCommonRandomNumbers:
+    def test_nodes_of_a_sweep_walk_one_unit_block(self, monkeypatch):
+        # sweep k draws one unit_walk block C from stream (seed, k), and
+        # node (x_i, t_j) walks x_i + r_j C with r_j the radius of t_j/n_sub
+        calls = []
+        walk = parabolic.parabolic_walks
+
+        def recording(x0, t_n, spec, alpha, unit):
+            batch = walk(x0, t_n, spec, alpha, unit)
+            calls.append((x0, t_n, unit, batch))
+            return batch
+
+        monkeypatch.setattr(parabolic, "parabolic_walks", recording)
+        pre = parabolic_poly_preset(0.7)
+        cfg = ParabolicConfig(
+            alpha=0.7, n_x=2, n_t=3, final_time=0.5,
+            n_walks=200, n_sub=16, seed=4, k_max=2,
+        )
+        stsmc_solve(cfg, pre.source, pre.initial)
+        grid, tgrid = make_grid(0.7, 2), make_time_grid(0.5, 3)
+        nodes = [(float(x), float(t)) for x in grid.nodes for t in tgrid.nodes]
+        assert len(calls) == 2 * len(nodes)
+        for k in (1, 2):
+            sweep = calls[(k - 1) * len(nodes) : k * len(nodes)]
+            assert [(x0, t_n) for x0, t_n, _, _ in sweep] == nodes  # ndindex order
+            unit = sweep[0][2]
+            assert all(u is unit for _, _, u, _ in sweep)
+            np.testing.assert_array_equal(
+                unit, unit_walk(RngStream(4).child(k), 0.7, 200, 16)
+            )
+            # two nodes with different x and t: each stops where x_i + r_j C
+            # first leaves (-1, 1), or at its last position
+            for x0, t_n, _, batch in (sweep[0], sweep[-1]):
+                posn = x0 + fixed_radius(t_n / 16, 0.7) * unit
+                out = np.abs(posn[:, 1:]) >= 1.0
+                last = np.where(out.any(axis=1), out.argmax(axis=1) + 1, 16)
+                stop = posn[np.arange(200), last]
+                np.testing.assert_array_equal(batch.exit_points, stop)
+                np.testing.assert_array_equal(batch.exited, out.any(axis=1))
+        assert sweep[0][:2] != sweep[-1][:2]
+
+
+class TestStopReasons:
+    @pytest.mark.parametrize("alpha", [0.4, 1.4])
+    def test_no_false_stall_on_parabolic_u1(self, alpha, monkeypatch):
+        # parabolic_u1 settings: a stalled run is the run without the stall
+        # rule cut short, and its error is no worse than that run's last
+        pre = parabolic_poly_preset(alpha)
+        for seed in range(4):
+            cfg = ParabolicConfig(
+                alpha=alpha, n_x=6, n_t=6, final_time=0.5,
+                n_walks=100, n_sub=64, seed=seed, k_max=20,
+            )
+            sol = stsmc_solve(cfg, pre.source, pre.initial, reference=pre.solution)
+            assert sol.stop_reason == "stalled", seed
+            with monkeypatch.context() as m:
+                m.setattr(poisson, "STALL_RATIO", 0.0)  # no update is noise
+                full = stsmc_solve(
+                    cfg, pre.source, pre.initial, reference=pre.solution
+                )
+            assert full.stop_reason == "k_max" and len(full.history) == 20
+            assert [h.max_update for h in sol.history] == [
+                h.max_update for h in full.history[: len(sol.history)]
+            ]
+            assert sol.history[-1].e_inf <= 2 * full.history[-1].e_inf, seed
+
+
 class TestStResidual:
     def test_vanishes_for_exact_tensor_values(self):
         from fracsmc.basis import make_grid, make_time_grid, st_interpolate
@@ -149,3 +220,20 @@ class TestConfigValidation:
         )
         with pytest.raises(ValueError, match="radius"):
             cfg.validate()
+
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.01])
+    def test_rejects_a_walk_radius_no_jump_can_leave_with(self, alpha):
+        # at t_final 0.5 and n_sub 64 the radius is 0.0 for alpha <= 1e-3 and
+        # 1e-211 at 0.01; even the longest jump sample_jump can return,
+        # r * MAX_UNIT_JUMP, is then below 2, so no path ever leaves
+        cfg = ParabolicConfig(
+            alpha=alpha, n_x=2, n_t=2, final_time=0.5, n_walks=10, n_sub=64
+        )
+        with pytest.raises(ValueError, match="no jump can leave"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.05, 2.0])
+    def test_accepts_a_walk_radius_the_longest_jump_leaves_with(self, alpha):
+        ParabolicConfig(
+            alpha=alpha, n_x=2, n_t=2, final_time=0.5, n_walks=10, n_sub=64
+        ).validate()

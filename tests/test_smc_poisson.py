@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from fracsmc import poisson
-from fracsmc.poisson import (
-    PoissonConfig,
-    empirical_contraction,
-    residual_source,
-    smc_solve,
-)
+from fracsmc.poisson import PoissonConfig, residual_source, smc_solve
 from fracsmc.presets import poly_preset, sin_source_preset
+from helpers import empirical_contraction
 
 
 class TestSmcSolve:

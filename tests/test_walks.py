@@ -29,6 +29,7 @@ from fracsmc.walks import (
     sample_interior,
     sample_jump,
     sample_jump_scaled,
+    unit_walk,
     zeta_closed,
 )
 
@@ -255,14 +256,16 @@ class TestParabolicWalk:
             exterior=lambda x, t: np.ones_like(x),
             initial=lambda x: np.ones_like(x),
         )
-        batch = parabolic_walks(0.3, 0.25, 32, spec, 0.9, RngStream(5), 2_000)
+        unit = unit_walk(RngStream(5), 0.9, 2_000, 32)
+        batch = parabolic_walks(0.3, 0.25, spec, 0.9, unit)
         np.testing.assert_allclose(batch.scores, 1.0)
 
     def test_unit_source_scores_occupation_time(self):
         # f == 1: the trapezoid of 1 equals L * dt exactly
         t_n, n_sub = 0.4, 16
         spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
-        batch = parabolic_walks(0.0, t_n, n_sub, spec, 1.1, RngStream(6), 2_000)
+        unit = unit_walk(RngStream(6), 1.1, 2_000, n_sub)
+        batch = parabolic_walks(0.0, t_n, spec, 1.1, unit)
         dt = t_n / n_sub
         np.testing.assert_allclose(batch.scores, batch.steps * dt, atol=1e-14)
 
@@ -276,46 +279,62 @@ class TestParabolicWalk:
             seen.append((np.shape(x), np.shape(t)))
             return np.cos(t)
 
-        a = parabolic_walks(0.1, 0.4, n_sub, PathFunctionalSpec(source=time_only),
-                            0.9, RngStream(4), n)
-        b = parabolic_walks(0.1, 0.4, n_sub,
+        unit = unit_walk(RngStream(4), 0.9, n, n_sub)
+        a = parabolic_walks(0.1, 0.4, PathFunctionalSpec(source=time_only), 0.9, unit)
+        b = parabolic_walks(0.1, 0.4,
                             PathFunctionalSpec(source=lambda x, t: np.cos(t) + 0 * x),
-                            0.9, RngStream(4), n)
+                            0.9, unit)
         assert seen == [((n, n_sub + 1), (1, n_sub + 1))]
         np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_never_exited_paths_use_full_horizon(self):
         spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
-        batch = parabolic_walks(0.0, 0.2, 8, spec, 0.5, RngStream(9), 4_000)
+        unit = unit_walk(RngStream(9), 0.5, 4_000, 8)
+        batch = parabolic_walks(0.0, 0.2, spec, 0.5, unit)
         assert np.all(batch.steps[~batch.exited] == 8)
 
     def test_exit_points_of_exited_paths_are_outside(self):
         spec = PathFunctionalSpec(
             source=None, exterior=lambda x, t: np.zeros_like(x)
         )
-        batch = parabolic_walks(0.8, 0.5, 64, spec, 1.6, RngStream(10), 4_000)
+        unit = unit_walk(RngStream(10), 1.6, 4_000, 64)
+        batch = parabolic_walks(0.8, 0.5, spec, 1.6, unit)
         assert batch.exited.any()
         assert np.all(np.abs(batch.exit_points[batch.exited]) >= 1.0)
 
     def test_block_draw_equals_stepping_the_same_draws(self):
-        # the kernel draws all jumps, then all signs, and sums them in one
-        # block; stepping those draws one sub-step at a time must agree
-        # exactly, since the additions happen in the same order
+        # unit_walk draws all unit jumps, then all signs, and sums them in
+        # one block C; the kernel walks x0 + r C.  Stepping those draws one
+        # sub-step at a time, c_ell = c_(ell-1) + jump * sign and
+        # x = x0 + r c_ell, must agree exactly: the additions happen in the
+        # same order
         alpha, t_n, n_sub, n, x0 = 0.7, 0.3, 16, 500, 0.2
         spec = PathFunctionalSpec(initial=lambda x: x, exterior=lambda x, t: x)
-        batch = parabolic_walks(x0, t_n, n_sub, spec, alpha, RngStream(8), n)
+        unit = unit_walk(RngStream(8), alpha, n, n_sub)
+        batch = parabolic_walks(x0, t_n, spec, alpha, unit)
         rng = RngStream(8).generator()
-        jumps = fixed_radius(t_n / n_sub, alpha) * sample_jump(rng, alpha, (n, n_sub))
+        jumps = sample_jump(rng, alpha, (n, n_sub))
         signs = sample_direction_1d(rng, size=(n, n_sub))
-        x = np.full(n, x0)
+        r = fixed_radius(t_n / n_sub, alpha)
+        c = np.zeros(n)
         stop = np.full(n, np.nan)
         for ell in range(n_sub):
-            x = x + jumps[:, ell] * signs[:, ell]
+            c = c + jumps[:, ell] * signs[:, ell]
+            np.testing.assert_array_equal(unit[:, ell + 1], c)
+            x = x0 + r * c
             first = np.isnan(stop) & (np.abs(x) >= 1.0)
             stop[first] = x[first]
         stop = np.where(np.isnan(stop), x, stop)
         np.testing.assert_array_equal(batch.exit_points, stop)
         np.testing.assert_array_equal(batch.exited, np.abs(stop) >= 1.0)
+
+    def test_unit_walk_at_alpha_2_is_a_sign_walk(self):
+        # every jump has length 1 at alpha = 2: the sums are integers that
+        # move by exactly one per sub-step, from 0
+        unit = unit_walk(RngStream(3), 2.0, 200, 12)
+        assert unit.shape == (200, 13)
+        np.testing.assert_array_equal(unit[:, 0], 0.0)
+        np.testing.assert_array_equal(np.abs(np.diff(unit, axis=1)), 1.0)
 
     def test_mean_matches_euler_exit_oracle(self):
         # expected occupation time E[t_n ^ tau] cross-checked against the
@@ -324,7 +343,8 @@ class TestParabolicWalk:
 
         alpha, t_n = 1.4, 0.3
         spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
-        batch = parabolic_walks(0.0, t_n, 256, spec, alpha, RngStream(13), 30_000)
+        unit = unit_walk(RngStream(13), alpha, 30_000, 256)
+        batch = parabolic_walks(0.0, t_n, spec, alpha, unit)
         rng = np.random.default_rng(14)
         dt = 2e-4
         loc, steps, capped = euler_stable_exit(0.0, 1.0, alpha, dt, rng, 20_000)
