@@ -1,18 +1,17 @@
 """Alternating parent/change pairs of the benchmark, summarised as BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \
-        --seed0 11 --seconds 15 --out BENCH_11.json --note "what changed" \
-        --claim parabolic_u1:solve_s
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --out BENCH_11.json --note "what changed" --claim parabolic_u1:solve_s
 
-Pair i runs `perfbench/run.py --workload W --seed <seed0+i> --seconds S
---trace 0` once in each checkout, in a fresh interpreter with the
-checkout as working directory; even pairs run the parent first, odd pairs
-the change.  After each run one more fresh `perfbench/cold.py` gives
-`cli.import_s`.  Once per workload and side, `--minflt-runs` fresh
-interpreters each time `--minflt-ops` warm operations after one untimed
-one and report the minor page faults (`ru_minflt`) per operation, and
-`--trace-runs` runs with `--trace 1` give the per-layer metrics of each
-side (their values only, one list per metric).
+For every workload in BENCHMARK.json, pair i (of PAIRS) runs
+`perfbench/run.py --workload W --seed <SEED0+i> --seconds SECONDS --trace 0`
+once in each checkout, in a fresh interpreter with the checkout as working
+directory; even pairs run the parent first, odd pairs the change.  After
+each run one more fresh `perfbench/cold.py` gives `cli.import_s`.  Once per
+workload and side, MINFLT_RUNS fresh interpreters each time MINFLT_OPS warm
+operations after one untimed one and report the minor page faults
+(`ru_minflt`) per operation, and TRACE_RUNS runs with `--trace 1` give the
+per-layer metrics of each side (their values only, one list per metric).
 
 Every metric gets the median, quartiles (numpy's linear percentiles) and
 runs of each side, the change's median relative to the parent's, the
@@ -32,6 +31,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+PAIRS = 10
+SEED0 = 11  # seed of pair 0
+SECONDS = 15.0  # the run length BENCHMARK.json's workloads use
+TRACE_RUNS = 1
+MINFLT_RUNS = 2
+MINFLT_OPS = 4
 
 BLAS_ENV = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -84,15 +90,15 @@ def compare(parent, change, better, bound=None):
     return out
 
 
-def bench_workload(name, sides, args, spec):
+def bench_workload(name, sides, spec):
     runs = {side: [] for side in sides}
     imports = {side: [] for side in sides}
-    for i in range(args.pairs):
-        seed = args.seed0 + i
+    for i in range(PAIRS):
+        seed = SEED0 + i
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for side in order:
             cmd = ["perfbench/run.py", "--workload", name, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+                   "--seconds", str(SECONDS), "--trace", "0"]
             runs[side].append(last_json(cmd, sides[side]))
             imports[side].append(
                 last_json(["perfbench/cold.py", name], sides[side])["import_s"]
@@ -110,26 +116,25 @@ def bench_workload(name, sides, args, spec):
         vals = {s: [r["metrics"][m]["value"] for r in runs[s]] for s in sides}
         end_to_end[m] = {"unit": metric["unit"], **compare(
             vals["parent"], vals["change"], metric["better"], metric["bound"])}
-    out = {"pairs": args.pairs, "ops": ops, "end_to_end": end_to_end,
-           "per_layer": {"cli.import_s": {"unit": "s", **compare(
-               imports["parent"], imports["change"], "lower")}}}
-    if args.trace_runs:
-        traced = {side: [last_json(
-            ["perfbench/run.py", "--workload", name, "--seed", str(args.seed0 + j),
-             "--seconds", str(args.seconds), "--trace", "1"], sides[side])["metrics"]
-            for j in range(args.trace_runs)] for side in sides}
-        out["trace"] = {
+    traced = {side: [last_json(
+        ["perfbench/run.py", "--workload", name, "--seed", str(SEED0 + j),
+         "--seconds", str(SECONDS), "--trace", "1"], sides[side])["metrics"]
+        for j in range(TRACE_RUNS)] for side in sides}
+    return {
+        "pairs": PAIRS, "ops": ops, "end_to_end": end_to_end,
+        "per_layer": {"cli.import_s": {"unit": "s", **compare(
+            imports["parent"], imports["change"], "lower")}},
+        "trace": {
             m: {side: [t[m]["value"] for t in traced[side]] for side in sides}
             for m in traced["change"][0]
-        }
-    if args.minflt_runs:
-        out["ru_minflt_per_op"] = {
-            side: [last_json(["-c", MINFLT, name, str(args.seed0 + j),
-                              str(args.minflt_ops)], sides[side])
-                   for j in range(args.minflt_runs)]
+        },
+        "ru_minflt_per_op": {
+            side: [last_json(["-c", MINFLT, name, str(SEED0 + j), str(MINFLT_OPS)],
+                             sides[side])
+                   for j in range(MINFLT_RUNS)]
             for side in sides
-        }
-    return out
+        },
+    }
 
 
 def cpu_model():
@@ -147,13 +152,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=11, help="seed of pair 0")
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--workloads", default="all", help="comma-separated, or all")
-    ap.add_argument("--trace-runs", type=int, default=1)
-    ap.add_argument("--minflt-runs", type=int, default=2)
-    ap.add_argument("--minflt-ops", type=int, default=4)
     ap.add_argument("--note", default="", help="one line on what the change does")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--out", required=True)
@@ -162,21 +160,19 @@ def main(argv=None):
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads != "all":
-        names = args.workloads.split(",")
     import scipy
 
     record = {
         "change": args.note,
         "method": (
-            f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
             "--trace 0 on the parent and the change, in separate checkouts, "
-            f"alternating which side runs first; pair i uses seed {args.seed0}+i. "
+            f"alternating which side runs first; pair i uses seed {SEED0}+i. "
             "cli.import_s is perfbench/cold.py's import_s from one extra cold "
             "interpreter after each run. ru_minflt_per_op: minor page faults per "
-            f"warm operation over {args.minflt_ops} operations after one untimed "
-            f"one, in {args.minflt_runs} fresh interpreters per side. trace: "
-            f"{args.trace_runs} --trace 1 run(s) per side, seeds {args.seed0} on. "
+            f"warm operation over {MINFLT_OPS} operations after one untimed "
+            f"one, in {MINFLT_RUNS} fresh interpreters per side. trace: "
+            f"{TRACE_RUNS} --trace 1 run(s) per side, seeds {SEED0} on. "
             "A change "
             "'win' is a pair where the change reads better. BLAS pinned to one "
             "thread. Written by scripts/bench_pairs.py."
@@ -193,10 +189,10 @@ def main(argv=None):
         workload, metric = args.claim.split(":")
         record["claim"] = {
             "metric": metric, "workload": workload,
-            "rule": f"change better in >= {args.pairs - args.pairs // 10} of "
-                    f"{args.pairs} pairs and median gap > parent IQR",
+            "rule": f"change better in >= {PAIRS - PAIRS // 10} of "
+                    f"{PAIRS} pairs and median gap > parent IQR",
         }
-    record["workloads"] = {n: bench_workload(n, sides, args, spec) for n in names}
+    record["workloads"] = {n: bench_workload(n, sides, spec) for n in names}
     if args.claim:
         res = record["workloads"][workload]["end_to_end"][metric]
         better = next(m["better"] for m in spec["end_to_end"] if m["name"] == metric)
@@ -205,7 +201,7 @@ def main(argv=None):
         gap = gap if better == "lower" else -gap
         record["claim"].update(
             wins=wins, median_gap=gap, parent_iqr=res["parent_iqr"],
-            met=wins >= args.pairs - args.pairs // 10 and gap > res["parent_iqr"],
+            met=wins >= PAIRS - PAIRS // 10 and gap > res["parent_iqr"],
         )
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

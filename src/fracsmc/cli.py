@@ -206,9 +206,8 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
     last = sol.history[-1]
-    finer = "n_x/n_t or n_sub" if cfg.equation == "parabolic" else "n_x/n_t"
-    hint = f"; resolution-limited: raise {finer}"
-    hint = hint if sol.stop_reason == "stalled" else ""
+    sub = " or n_sub" if cfg.equation == "parabolic" else ""
+    hint = f"; resolution-limited: raise n_x/n_t{sub}" if sol.stop_reason == "stalled" else ""
     print(
         f"{cfg.equation}/{cfg.preset}: {len(sol.history)} sweeps "
         f"(stopped by {sol.stop_reason}{hint}), "

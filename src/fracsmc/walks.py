@@ -38,7 +38,8 @@ JUMP_LAW_VERBATIM = "verbatim"
 DEFAULT_JUMP_LAW = JUMP_LAW_EXIT
 
 POISSON_STEP_CAP = 100_000
-MAX_UNIT_JUMP = 1 / math.sqrt(5e-324)  # sample_jump's largest draw, ~4.5e161
+_W_FLOOR = 5e-324  # floor on the jump samplers' W, so J = W^(-1/2) stays finite
+MAX_UNIT_JUMP = 1 / math.sqrt(_W_FLOOR)  # sample_jump's largest draw, ~4.5e161
 # default node count of the occupation rule (PathFunctionalSpec, PoissonConfig
 # and the `m1` config key)
 OCCUPATION_NODES = 32
@@ -142,14 +143,14 @@ def zeta_closed(offset, radius, alpha: float):
 def sample_jump(rng: np.random.Generator, alpha: float, size=None):
     """Exact ball-exit jump distance for unit radius: J = W^(-1/2).
 
-    W ~ Beta(alpha/2, 1 - alpha/2); W is floored at the smallest subnormal
-    so J stays finite (at most MAX_UNIT_JUMP) when W underflows to 0 as
-    alpha -> 0.
+    W ~ Beta(alpha/2, 1 - alpha/2); W is floored at _W_FLOOR, the smallest
+    subnormal, so J stays finite (at most MAX_UNIT_JUMP) when W underflows
+    to 0 as alpha -> 0.
     """
     if not 0 < alpha < 2:
         raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
     w = rng.beta(alpha / 2, 1 - alpha / 2, size=size)
-    return 1.0 / np.sqrt(np.maximum(w, 5e-324))
+    return 1.0 / np.sqrt(np.maximum(w, _W_FLOOR))
 
 
 def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
@@ -169,7 +170,7 @@ def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
         one_minus_v = sp.betaincinv(
             alpha / 2, 1 - alpha / 2, np.maximum(1.0 - omega, 1e-300)
         )
-        out = 1.0 / np.sqrt(np.maximum(one_minus_v, 5e-324))
+        out = 1.0 / np.sqrt(np.maximum(one_minus_v, _W_FLOOR))
     elif law == JUMP_LAW_VERBATIM:
         complete = np.pi / np.sin(np.pi * alpha / 2)
         v = sp.betaincinv(1 - alpha / 2, alpha / 2, omega)
