@@ -1,0 +1,94 @@
+"""Check that two checkouts write byte-identical reports and validate output.
+
+    python3 scripts/compare_reports.py --parent ../parent --change .
+
+In each checkout, every bundled config (scripts/configs/*.cfg) runs at each
+seed in RUN_SEEDS, and `validate all` at each seed in VALIDATE_SEEDS.  Each
+run is a fresh `python3 -m fracsmc.cli` with the checkout's src/ on the
+path and BLAS pinned to one thread, in a fresh temporary directory, with
+the same relative `--out`, so the report's config echo and the summary
+line name the same path on both sides.  One line per run says whether
+the report file and stdout are byte-identical (and the exit codes equal);
+the script exits 1 on any difference.  The checkouts are only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN_SEEDS = (1, 7)
+VALIDATE_SEEDS = (0, 3)
+
+REPORT = "report.csv"  # the --out of every run, relative to its fresh directory
+BLAS_ENV = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def cli_args(checkout: Path, cfg: str | None, seed: int) -> list[str]:
+    if cfg is None:
+        return ["validate", "all", "--seed", str(seed)]
+    path = checkout / "scripts" / "configs" / cfg
+    return ["run", str(path), "--seed", str(seed), "--out", REPORT]
+
+
+def outcome(checkout: Path, cfg: str | None, seed: int):
+    """(exit code, stdout, report bytes or None) of one CLI run in a fresh directory."""
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(checkout / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracsmc.cli", *cli_args(checkout, cfg, seed)],
+            cwd=tmp, env=env, capture_output=True, check=False,
+        )
+        report = Path(tmp, REPORT)
+        written = report.read_bytes() if report.exists() else None
+    return proc.returncode, proc.stdout, written
+
+
+def first_difference(parent: bytes | None, change: bytes | None) -> str:
+    """The first line in which two different outputs differ, as 'parent | change'."""
+    a, b = (
+        (x or b"").decode(errors="backslashreplace").split("\n") + ["<end>"]
+        for x in (parent, change)
+    )
+    i = next(i for i, (p, c) in enumerate(zip(a, b)) if p != c)
+    return f"line {i + 1}: {a[i]!r} | {b[i]!r}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    args = ap.parse_args(argv)
+    parent_dir, change_dir = Path(args.parent).resolve(), Path(args.change).resolve()
+
+    configs = sorted(p.name for p in (change_dir / "scripts" / "configs").glob("*.cfg"))
+    jobs = [(cfg, seed) for cfg in configs for seed in RUN_SEEDS]
+    jobs += [(None, seed) for seed in VALIDATE_SEEDS]
+    differences = 0
+    for cfg, seed in jobs:
+        parent = outcome(parent_dir, cfg, seed)
+        change = outcome(change_dir, cfg, seed)
+        diffs = [
+            what
+            for i, what in enumerate(("exit code", "stdout", "report"))
+            if parent[i] != change[i]
+        ]
+        if cfg is not None and parent[2] is None:
+            diffs.append("no report written")
+        differences += bool(diffs)
+        name = f"{cfg or 'validate all'} seed={seed}"
+        status = f"DIFFERENT: {', '.join(diffs)}" if diffs else "identical"
+        print(f"{name}: {status} (exit {parent[0]} / {change[0]})", flush=True)
+        for i, what in ((1, "stdout"), (2, "report")):
+            if parent[i] != change[i]:
+                print(f"  {what} {first_difference(parent[i], change[i])}")
+    print(f"{differences} of {len(jobs)} runs differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

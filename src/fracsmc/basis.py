@@ -30,6 +30,12 @@ class ContractError(ValueError):
     """Caller violated an interface contract (shape/length mismatch)."""
 
 
+def singular_weight(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The weight (1-x^2)^(alpha/2) of the singular basis, 0 outside (-1, 1)."""
+    one_m = 1.0 - x * x
+    return np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
+
+
 def gjf_eval(n: int, alpha: float, x):
     """Singular basis function (1-x^2)^(alpha/2) P_n^(alpha/2,alpha/2)(x).
 
@@ -38,7 +44,7 @@ def gjf_eval(n: int, alpha: float, x):
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     x = np.asarray(x, dtype=float)
-    w = np.where(np.abs(x) < 1, np.abs(1 - x * x) ** (alpha / 2), 0.0)
+    w = singular_weight(x, alpha)
     out = w * jacobi_eval_all(n, JacobiIndex(alpha / 2, alpha / 2), x)[n]
     return float(out) if out.ndim == 0 else out
 
@@ -168,6 +174,24 @@ def eval_jacobi_series(coeffs: np.ndarray, alpha: float, x):
 
 
 @dataclass(frozen=True)
+class WeightedSeries:
+    """x -> (1-x^2)^(alpha/2) sum_n coefficients[n] P_n^(alpha/2,alpha/2)(x).
+
+    Zero outside (-1, 1); keeps the shape of x, and a scalar x gives a float.
+    """
+
+    alpha: float
+    coefficients: np.ndarray = field(repr=False)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = singular_weight(x, self.alpha) * eval_jacobi_series(
+            self.coefficients, self.alpha, x
+        )
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
 class TimeGrid:
     """Temporal collocation grid on (0, T) with its nodal-to-modal map."""
 
@@ -248,8 +272,7 @@ def _eval_st_series(f: SpaceTimeInterpolant, weighted, plain, x, t):
     if plain is not None:
         rest = np.einsum("p...,p...->...", P, (plain @ L).reshape((-1,) + t.shape))
     del P
-    one_m = 1.0 - x * x
-    out *= np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
+    out *= singular_weight(x, alpha)
     if plain is not None:
         out += rest
     return out

@@ -10,15 +10,15 @@ report is byte-identical for a given config.
 from __future__ import annotations
 
 import argparse
-import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import basis, oracles, presets, specfun, walks
-from .parabolic import ParabolicConfig, check_step_radius, stsmc_solve
+from .parabolic import ParabolicConfig, stsmc_solve
 from .poisson import PoissonConfig, smc_solve
 from .rng import RngStream
 
@@ -30,6 +30,13 @@ _PRESETS = {
     "u1_parabolic": ("parabolic", presets.parabolic_poly_preset),
     "u2_parabolic": ("parabolic", presets.parabolic_sine_preset),
 }
+
+
+# config key -> solver config field, where the two names differ; the solver
+# configs own every numeric rule, and their messages name fields
+_KEY_FIELDS = {"m": "n_walks", "m1": "inner_samples", "t_final": "final_time"}
+_KEY_OF_FIELD = {name: key for key, name in _KEY_FIELDS.items()}
+_FIELD_NAME = re.compile(r"\b(" + "|".join(_KEY_OF_FIELD) + r")\b")
 
 
 class ConfigError(ValueError):
@@ -55,7 +62,16 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "report.csv"
 
+    def solver_config(self) -> PoissonConfig | ParabolicConfig:
+        """The solver's config for this experiment (not yet validated)."""
+        cls = PoissonConfig if self.equation == "poisson" else ParabolicConfig
+        wanted = {f.name for f in fields(cls)}
+        values = {_KEY_FIELDS.get(f.name, f.name): getattr(self, f.name)
+                  for f in fields(self)}
+        return cls(**{name: v for name, v in values.items() if name in wanted})
+
     def validate(self) -> None:
+        """The CLI's own rules, then the solver config's, under the key names."""
         if self.equation not in ("poisson", "parabolic"):
             raise ConfigError(f"unknown equation {self.equation!r}")
         wanted = tuple(p for p, (eq, _) in _PRESETS.items() if eq == self.equation)
@@ -64,35 +80,16 @@ class ExperimentConfig:
                 f"preset {self.preset!r} not valid for {self.equation}; "
                 f"choose one of {wanted}"
             )
-        # comparisons are written so that NaN fails them
-        if not 0 < self.alpha <= 2:
-            raise ConfigError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.equation == "poisson" and self.alpha / 2 - 1 == -1:
-            raise ConfigError(
-                f"alpha = {self.alpha} is too small: alpha/2 - 1 rounds to -1, "
-                "outside the occupation rule's Jacobi weights"
-            )
-        if self.n_x < 1 or self.m < 1 or self.k_max < 1 or self.m1 < 1:
-            raise ConfigError("n_x, m, m1, k_max must be positive")
-        if self.equation == "poisson" and self.m1 < (self.n_x + 2) // 2:
-            raise ConfigError(
-                f"m1 = {self.m1} is below ceil((n_x+1)/2) = {(self.n_x + 2) // 2}"
-            )
-        if self.equation == "parabolic":
-            if self.n_t < 1 or not 0 < self.t_final < math.inf or self.n_sub < 1:
-                raise ConfigError(
-                    "parabolic runs need n_t >= 1, finite t_final > 0, n_sub >= 1"
-                )
-            try:
-                check_step_radius(self.t_final, self.n_sub, self.alpha)
-            except specfun.DomainError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # a parabolic run never builds the config that checks m1
+        if self.m1 < 1:
+            raise ConfigError(f"m1 must be positive, got {self.m1}")
         if not self.out:
             raise ConfigError("out must name a report file")
+        try:
+            self.solver_config().validate()
+        except ValueError as exc:
+            msg = _FIELD_NAME.sub(lambda m: _KEY_OF_FIELD[m[0]], str(exc))
+            raise ConfigError(msg) from exc
 
 
 def _check_report_path(path: str) -> None:
@@ -173,29 +170,10 @@ def write_report(path: str, cfg: ExperimentConfig, history, timings: bool) -> No
 def run_experiment(cfg: ExperimentConfig, n_threads: int, timings: bool) -> int:
     """Solve one experiment and write its report; n_threads has no effect."""
     pre = _PRESETS[cfg.preset][1](cfg.alpha)
+    scfg = cfg.solver_config()
     if cfg.equation == "poisson":
-        pcfg = PoissonConfig(
-            alpha=cfg.alpha,
-            n_x=cfg.n_x,
-            n_walks=cfg.m,
-            seed=cfg.seed,
-            k_max=cfg.k_max,
-            tol=cfg.tol,
-            inner_samples=cfg.m1,
-        )
-        sol = smc_solve(pcfg, pre.source, reference=pre.solution)
+        sol = smc_solve(scfg, pre.source, reference=pre.solution)
     else:
-        scfg = ParabolicConfig(
-            alpha=cfg.alpha,
-            n_x=cfg.n_x,
-            n_t=cfg.n_t,
-            final_time=cfg.t_final,
-            n_walks=cfg.m,
-            n_sub=cfg.n_sub,
-            seed=cfg.seed,
-            k_max=cfg.k_max,
-            tol=cfg.tol,
-        )
         sol = stsmc_solve(scfg, pre.source, pre.initial, reference=pre.solution)
     if not np.all(np.isfinite(sol.node_values)):
         print("error: solver produced non-finite node values", file=sys.stderr)
@@ -262,7 +240,7 @@ def _suite_basis(failures: list, seed: int) -> None:
     for alpha in (0.4, 1.2, 2.0):
         grid = basis.make_grid(alpha, 2)
         smooth = lambda x: x * x + x + 1.0
-        u = lambda x: np.clip(1 - x * x, 0, None) ** (alpha / 2) * smooth(x)
+        u = lambda x: basis.singular_weight(x, alpha) * smooth(x)
         interp = basis.interpolate(grid, u(grid.nodes))
         xs = rng.uniform(-1, 1, 40)
         err = np.max(np.abs(basis.eval_interpolant(interp, xs) - u(xs)))

@@ -8,7 +8,8 @@ with Chambers-Mallows-Stuck increments.  The occupation density of a ball
 exit time walks.zeta_closed.  These referees are low-accuracy by design;
 they tie the spectral identities and the walk kernels to ground truth.
 They share with the solver the Jacobi recurrence, norms and Gauss rules
-of specfun, basis.eval_jacobi_series, and from walks BallGeometry,
+of specfun, basis.frac_diag_factor and basis.WeightedSeries (the type of
+the Galerkin solution), and from walks BallGeometry,
 expected_exit_coeff and the reference jump inversion sample_jump_scaled
 (which the kernels do not call); the integral, Green's function, CMS and
 Euler code is their own.  No solver module imports this one.  The CLI
@@ -20,12 +21,12 @@ loads neither.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
-from .basis import eval_jacobi_series
+from .basis import WeightedSeries, frac_diag_factor
 from .specfun import DomainError, JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
 from .walks import (
     JUMP_LAW_EXIT,
@@ -144,23 +145,7 @@ def frac_laplacian_direct(
     return vals[-1]
 
 
-@dataclass(frozen=True)
-class GalerkinSolution:
-    """Modal coefficients of the deterministic reference solution."""
-
-    alpha: float
-    coefficients: np.ndarray = field(repr=False)
-
-    def __call__(self, x):
-        """Evaluate at x, keeping its shape; a scalar x gives a float."""
-        x = np.asarray(x, dtype=float)
-        one_m = 1.0 - x * x
-        w = np.where(one_m > 0, np.abs(one_m) ** (self.alpha / 2), 0.0)
-        out = w * eval_jacobi_series(self.coefficients, self.alpha, x)
-        return float(out) if out.ndim == 0 else out
-
-
-def galerkin_solve(f, alpha: float, N: int) -> GalerkinSolution:
+def galerkin_solve(f, alpha: float, N: int) -> WeightedSeries:
     """Diagonal Galerkin solution of the homogeneous fractional Poisson problem.
 
     The singular basis diagonalizes the operator, so each coefficient is a
@@ -174,9 +159,8 @@ def galerkin_solve(f, alpha: float, N: int) -> GalerkinSolution:
     P = jacobi_eval_all(N, idx, rule.nodes)
     inner = P @ (fx * rule.weights)
     m = np.arange(N + 1)
-    lam = sp.gamma(m + alpha + 1) / sp.gamma(m + 1)
     gam = np.array([gamma_norm(n, idx) for n in m])
-    return GalerkinSolution(alpha=alpha, coefficients=inner / (lam * gam))
+    return WeightedSeries(alpha, inner / (frac_diag_factor(m, alpha) * gam))
 
 
 def sample_symmetric_stable(
@@ -264,8 +248,9 @@ def jump_law_ks(
 
 def gjf_identity_rhs(n: int, alpha: float, x):
     """Closed-form fractional Laplacian of the n-th singular basis function."""
-    factor = sp.gamma(n + alpha + 1) / sp.gamma(n + 1)
-    return factor * jacobi_eval_all(n, JacobiIndex(alpha / 2, alpha / 2), np.atleast_1d(np.asarray(x, float)))[n]
+    x = np.atleast_1d(np.asarray(x, float))
+    P = jacobi_eval_all(n, JacobiIndex(alpha / 2, alpha / 2), x)
+    return frac_diag_factor(n, alpha) * P[n]
 
 
 def greens_q(x, y, r: float, alpha: float):

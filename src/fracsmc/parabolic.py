@@ -27,7 +27,7 @@ from .basis import (
     st_interpolate,
     st_operator,
 )
-from .poisson import Solution, run_sweeps
+from .poisson import Solution, check_shared_rules, run_sweeps
 from .specfun import DomainError
 from .walks import (
     MAX_UNIT_JUMP,
@@ -53,20 +53,15 @@ class ParabolicConfig:
     tol: float = 1e-12
 
     def validate(self) -> None:
+        check_shared_rules(self)
         # comparisons are written so that NaN fails them
-        if not 0 < self.alpha <= 2:
-            raise ValueError("alpha must lie in (0, 2]")
-        if not 0 < self.final_time < np.inf:
-            raise ValueError("final_time must be finite and positive")
-        if min(self.n_x, self.n_t, self.n_walks, self.n_sub, self.k_max) < 1:
+        if not (self.n_t >= 1 and 0 < self.final_time < np.inf and self.n_sub >= 1):
             raise ValueError(
-                "n_x, n_t, n_walks, n_sub and k_max must be positive"
+                "parabolic runs need n_t >= 1, finite final_time > 0 and n_sub >= 1, "
+                f"got n_t = {self.n_t}, final_time = {self.final_time}, "
+                f"n_sub = {self.n_sub}"
             )
         check_step_radius(self.final_time, self.n_sub, self.alpha)
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
@@ -83,14 +78,15 @@ def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
     r = fixed_radius(dt, alpha)
     if not r < 2:
         raise DomainError(
-            f"the walk radius for t_final/n_sub = {dt:.3g} at alpha = {alpha} "
+            f"the walk radius for final_time/n_sub = {dt:.3g} at alpha = {alpha} "
             f"is {r:.3g} >= 2, so every path leaves on its first jump; "
-            "raise n_sub or lower t_final"
+            "raise n_sub or lower final_time"
         )
     if not r * MAX_UNIT_JUMP >= 2:
         raise DomainError(
-            f"the walk radius for t_final/n_sub = {dt:.3g} at alpha = {alpha} "
-            f"is {r:.3g}, so no jump can leave the domain; raise alpha or t_final/n_sub"
+            f"the walk radius for final_time/n_sub = {dt:.3g} at alpha = {alpha} "
+            f"is {r:.3g}, so no jump can leave the domain; "
+            "raise alpha or final_time/n_sub"
         )
 
 

@@ -63,19 +63,35 @@ class PoissonConfig:
     inner_samples: int = OCCUPATION_NODES
 
     def validate(self) -> None:
-        # comparisons are written so that NaN fails them
-        if not 0 < self.alpha <= 2:
-            raise ValueError("alpha must lie in (0, 2]")
+        check_shared_rules(self)
         if self.alpha / 2 - 1 == -1:
-            raise ValueError("alpha is so small that alpha/2 - 1 rounds to -1")
-        if self.n_x < 1 or self.n_walks < 1 or self.k_max < 1:
-            raise ValueError("n_x, n_walks and k_max must be positive")
+            raise ValueError(
+                f"alpha = {self.alpha} is too small: alpha/2 - 1 rounds to -1, "
+                "outside the occupation rule's Jacobi weights"
+            )
         if self.inner_samples < (self.n_x + 2) // 2:
-            raise ValueError("inner_samples must be at least ceil((n_x+1)/2)")
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(
+                f"inner_samples = {self.inner_samples} is below "
+                f"ceil((n_x+1)/2) = {(self.n_x + 2) // 2}"
+            )
+
+
+def check_shared_rules(cfg) -> None:
+    """Raise ValueError unless cfg's alpha, counts, tol and seed are usable.
+
+    Both solver configs (PoissonConfig, ParabolicConfig) start their
+    validate() here; the comparisons are written so that NaN fails them.
+    """
+    if not 0 < cfg.alpha <= 2:
+        raise ValueError(f"alpha must be in (0, 2], got {cfg.alpha}")
+    counts = {n: getattr(cfg, n) for n in ("n_x", "n_walks", "k_max")}
+    low = [f"{n} = {v}" for n, v in counts.items() if not v >= 1]
+    if low:
+        raise ValueError(f"n_x, n_walks and k_max must be positive, got {', '.join(low)}")
+    if not 0 < cfg.tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {cfg.tol}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
 
 
 @dataclass(frozen=True)

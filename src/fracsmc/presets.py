@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import eval_jacobi_series, frac_diag_factor
+from .basis import WeightedSeries, eval_jacobi_series, frac_diag_factor, singular_weight
 from .specfun import JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
 
 
@@ -44,17 +44,6 @@ def _modal_coefficients(alpha: float, smooth, degree: int) -> np.ndarray:
     return (P @ (smooth(rule.nodes) * rule.weights)) / g
 
 
-def _weighted_series(modal: np.ndarray, alpha: float):
-    """x -> (1-x^2)^(a/2) sum_n modal[n] P_n^(a/2,a/2)(x), zero outside (-1, 1)."""
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
-        return body * eval_jacobi_series(modal, alpha, x)
-
-    return u
-
-
 def _series_pair(alpha: float, smooth, degree: int):
     """Solution (1-x^2)^(a/2) * smooth and its matched source."""
     modal = _modal_coefficients(alpha, smooth, degree)
@@ -63,7 +52,7 @@ def _series_pair(alpha: float, smooth, degree: int):
     def f(x):
         return eval_jacobi_series(modal * lam, alpha, x)
 
-    return _weighted_series(modal, alpha), f
+    return WeightedSeries(alpha, modal), f
 
 
 def poly_preset(alpha: float) -> SteadyPreset:
@@ -88,7 +77,7 @@ def sin_source_preset(alpha: float) -> SteadyPreset:
     modal_f = _modal_coefficients(alpha, np.sin, degree)
     lam = frac_diag_factor(np.arange(degree + 1), alpha)
     return SteadyPreset(
-        solution=_weighted_series(modal_f / lam, alpha),
+        solution=WeightedSeries(alpha, modal_f / lam),
         source=lambda x: np.sin(x),
     )
 
@@ -98,7 +87,7 @@ def _parabolic_from_series(alpha, smooth, degree):
     modal = _modal_coefficients(alpha, smooth, degree)
     flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
     idx = JacobiIndex(alpha / 2, alpha / 2)
-    space = _weighted_series(modal, alpha)
+    space = WeightedSeries(alpha, modal)
 
     def u(x, t):
         return space(x) * np.cos(t)
@@ -108,8 +97,7 @@ def _parabolic_from_series(alpha, smooth, degree):
         # its fractional Laplacian share one Jacobi table
         x = np.asarray(x, dtype=float)
         P = jacobi_eval_all(degree, idx, np.atleast_1d(x).ravel())
-        body = np.clip(1.0 - x * x, 0.0, None) ** (alpha / 2)
-        X = body * np.einsum("n,nx->x", modal, P).reshape(x.shape)
+        X = singular_weight(x, alpha) * np.einsum("n,nx->x", modal, P).reshape(x.shape)
         flap = np.einsum("n,nx->x", flap_modal, P).reshape(x.shape)
         return -X * np.sin(t) + flap * np.cos(t)
 

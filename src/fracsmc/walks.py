@@ -13,10 +13,11 @@ it by a Gauss rule (occupation_rule) and draws no random numbers for it.
 
 Jump law: the ball-exit distance of the symmetric stable process started
 at the ball center is exactly J = r W^(-1/2) with W ~ Beta(a/2, 1-a/2)
-(Blumenthal-Getoor-Ray); both kernels draw it with Generator.beta
-(sample_jump).  sample_jump_scaled is the reference inversion of the same
-law through the inverse incomplete Beta, kept with a "verbatim" variant
-(the complete Beta in place of the 1) for the Euler-exit comparison in
+(Blumenthal-Getoor-Ray); poisson_walks and unit_walk draw it with
+Generator.beta (sample_jump), and parabolic_walks draws nothing.
+sample_jump_scaled is the reference inversion of the same law through
+the inverse incomplete Beta, kept with a "verbatim" variant (the
+complete Beta in place of the 1) for the Euler-exit comparison in
 oracles.jump_law_ks, which the verbatim form fails: it produces J < r.
 """
 

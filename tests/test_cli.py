@@ -289,6 +289,25 @@ class TestMainExitCodes:
         assert "no jump can leave" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, key, field",
+        [
+            (GOOD.replace("m = 20", "m = 0"), "m = 0", "n_walks"),
+            (PARABOLIC.replace("t_final = 0.5", "t_final = nan"), "t_final = nan",
+             "final_time"),
+            (GOOD.replace("n_x = 2", "n_x = 8") + "m1 = 4\n", "m1 = 4", "inner_samples"),
+        ],
+    )
+    def test_solver_rule_errors_name_config_keys(
+        self, text, key, field, tmp_path, monkeypatch, capsys
+    ):
+        # the solver configs own the numeric rules; the CLI reports their
+        # messages under the config file's key names
+        self._forbid_solving(monkeypatch)
+        assert main(["run", self._write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and field not in err and err.count("\n") == 1
+
     def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"
         p.write_bytes(b"equation = poisson\npreset = \xff\xfe\n")

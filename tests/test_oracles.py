@@ -83,6 +83,26 @@ class TestGalerkin:
         assert np.max(np.abs(sol_small(xs) - sol_big(xs))) < 1e-12
         assert abs(sol_big.coefficients[-1]) < 1e-20
 
+    def test_high_degree_stays_finite(self):
+        # Gamma(m + alpha + 1) overflows past m ~ 170: the eigenvalues come
+        # from the log-gamma form, so N = 180 neither goes NaN nor drifts
+        alpha = 1.2
+        sol_big = galerkin_solve(np.sin, alpha, 180)
+        sol_ref = galerkin_solve(np.sin, alpha, 100)
+        xs = np.linspace(-0.99, 0.99, 101)
+        assert np.all(np.isfinite(sol_big.coefficients))
+        assert np.max(np.abs(sol_big(xs) - sol_ref(xs))) < 1e-12
+
+    def test_identity_rhs_finite_at_high_degree(self):
+        # the closed-form factor Gamma(n+a+1)/n! grows by (n+a)/n per degree
+        from fracsmc.specfun import JacobiIndex, jacobi_eval_all
+
+        alpha, x = 1.2, np.array([0.3])
+        P = jacobi_eval_all(175, JacobiIndex(alpha / 2, alpha / 2), x)
+        hi = gjf_identity_rhs(175, alpha, x)[0] / P[175, 0]
+        lo = gjf_identity_rhs(174, alpha, x)[0] / P[174, 0]
+        assert hi == pytest.approx(lo * (175 + alpha) / 175, rel=1e-12)
+
     def test_output_shape_follows_input_shape(self):
         sol = galerkin_solve(np.sin, 1.2, 10)
         point = sol(0.3)

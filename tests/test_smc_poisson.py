@@ -44,9 +44,12 @@ class TestSmcSolve:
         b = smc_solve(cfg, pre.source)
         np.testing.assert_array_equal(a.node_values, b.node_values)
 
-    def test_alpha_two_classical_limit(self):
-        pre = poly_preset(2.0)
-        cfg = PoissonConfig(alpha=2.0, n_x=2, n_walks=50, seed=2, k_max=60)
+    @pytest.mark.parametrize("alpha", [0.02, 1.999, 2.0])
+    def test_alpha_two_classical_limit(self, alpha):
+        # both ends of (0, 2]: the heavy-tailed alpha -> 0 walk, and alpha -> 2
+        # up to the classical Laplacian itself
+        pre = poly_preset(alpha)
+        cfg = PoissonConfig(alpha=alpha, n_x=2, n_walks=50, seed=2, k_max=60)
         sol = smc_solve(cfg, pre.source, reference=pre.solution)
         assert sol.history[-1].e_inf < 1e-10
 
