@@ -9,7 +9,10 @@ path and BLAS pinned to one thread, in a fresh temporary directory, with
 the same relative `--out`, so the report's config echo and the summary
 line name the same path on both sides.  One line per run says whether
 the report file and stdout are byte-identical (and the exit codes equal);
-the script exits 1 on any difference.  The checkouts are only read.
+the script exits 1 on any difference.  For a report that differs, one
+more line per numeric column gives the largest absolute and relative
+difference over the rows both sides wrote, so a move at round-off reads
+as one.  The checkouts are only read.
 """
 
 from __future__ import annotations
@@ -58,6 +61,40 @@ def first_difference(parent: bytes | None, change: bytes | None) -> str:
     return f"line {i + 1}: {a[i]!r} | {b[i]!r}"
 
 
+def column_differences(parent: bytes, change: bytes) -> list[str]:
+    """Largest absolute and relative difference of each numeric report column.
+
+    Rows are paired in order over the rows both reports have; a column
+    counts as numeric where both cells parse as floats (empty cells are
+    skipped).  The relative difference is |a - b| / max(|a|, |b|).
+    """
+    tables = []
+    for text in (parent, change):
+        lines = [ln for ln in text.decode(errors="replace").splitlines()
+                 if ln and not ln.startswith("#")]
+        tables.append((lines[0].split(","), [ln.split(",") for ln in lines[1:]]))
+    (header, a_rows), (_, b_rows) = tables
+    out = []
+    if len(a_rows) != len(b_rows):
+        out.append(f"rows: {len(a_rows)} | {len(b_rows)}")
+    for col, name in enumerate(header):
+        worst_abs = worst_rel = 0.0
+        numeric = False
+        for a_row, b_row in zip(a_rows, b_rows):
+            try:
+                a, b = float(a_row[col]), float(b_row[col])
+            except (IndexError, ValueError):
+                continue
+            numeric = True
+            diff = abs(a - b)
+            worst_abs = max(worst_abs, diff)
+            if diff:
+                worst_rel = max(worst_rel, diff / max(abs(a), abs(b)))
+        if numeric:
+            out.append(f"{name}: max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -86,6 +123,9 @@ def main(argv=None) -> int:
         for i, what in ((1, "stdout"), (2, "report")):
             if parent[i] != change[i]:
                 print(f"  {what} {first_difference(parent[i], change[i])}")
+        if parent[2] and change[2] and parent[2] != change[2]:
+            for line in column_differences(parent[2], change[2]):
+                print(f"    {line}")
     print(f"{differences} of {len(jobs)} runs differ")
     return 1 if differences else 0
 

@@ -205,8 +205,11 @@ class TimeGrid:
         return self.rule.nodes
 
 
-def _shifted_legendre(n_max: int, t, T: float) -> np.ndarray:
-    """Shifted Legendre polynomials L_0..L_n_max((2t - T)/T); shape (n_max+1, len(t))."""
+def shifted_legendre(n_max: int, t, T: float) -> np.ndarray:
+    """Shifted Legendre polynomials L_0..L_n_max at times t in [0, T].
+
+    The shape is (n_max+1,) + t.shape, with a scalar t taken as shape (1,).
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return jacobi_eval_all(n_max, JacobiIndex(0.0, 0.0), (2.0 * t - T) / T)
 
@@ -219,7 +222,7 @@ def make_time_grid(T: float, N_t: int) -> TimeGrid:
     if N_t < 0:
         raise DomainError("N_t must be >= 0")
     rule = legendre_gauss_shifted(N_t, T)
-    L = _shifted_legendre(N_t, rule.nodes, T)
+    L = shifted_legendre(N_t, rule.nodes, T)
     q = np.arange(N_t + 1)[:, None]
     b = (2 * q + 1) / T * L * rule.weights  # == (2q+1)/2 * L_q(t_j) * std weights
     return TimeGrid(T=T, N_t=N_t, rule=rule, b_matrix=b)
@@ -249,28 +252,26 @@ def st_interpolate(grid: GjfGrid, tgrid: TimeGrid, samples) -> SpaceTimeInterpol
     return SpaceTimeInterpolant(grid=grid, tgrid=tgrid, values=samples, modal=modal)
 
 
-def _eval_st_series(f: SpaceTimeInterpolant, weighted, plain, x, t):
-    """sum_p P_p(x) (w(x) (weighted L(t))_p + (plain L(t))_p) at broadcast (x, t).
+def eval_weighted_columns(alpha: float, weighted, plain, x):
+    """sum_p P_p(x) (w(x) weighted[p] + plain[p]) at x.
 
-    P_p are the Jacobi polynomials of index (alpha/2, alpha/2), w the
-    singular weight (1-x^2)^(alpha/2) and L(t) the column of shifted
-    Legendre polynomials; weighted and plain are (N_x+1, N_t+1) modal
-    matrices (plain may be None).  The Jacobi table is built at x's shape
-    and the Legendre table at t's, so a row of times shared by a batch of
-    paths costs one Legendre row per distinct time.
+    P_p are the Jacobi polynomials of index (alpha/2, alpha/2) up to
+    degree len(weighted) - 1 and w the singular weight (1-x^2)^(alpha/2).
+    weighted and plain are stacks of coefficient columns, one row per
+    degree, whose trailing shape broadcasts against x (plain may be None):
+    a space-time series gives them as its modal matrices times the
+    Legendre rows of the times, so a row of times shared by a batch of
+    paths costs one column per distinct time.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    alpha = f.grid.alpha
-    L = _shifted_legendre(f.tgrid.N_t, t, f.tgrid.T).reshape(f.tgrid.N_t + 1, -1)
     # The Jacobi table is the largest array of a walk's residual call, so it
     # is released before the weight is built.  At the higher peak, glibc
     # trimmed the heap top after nearly every parabolic walk and the loop
     # page-faulted it back in.
-    P = jacobi_eval_all(f.grid.N_x, JacobiIndex(alpha / 2, alpha / 2), x)
-    out = np.einsum("p...,p...->...", P, (weighted @ L).reshape((-1,) + t.shape))
+    P = jacobi_eval_all(len(weighted) - 1, JacobiIndex(alpha / 2, alpha / 2), x)
+    out = np.einsum("p...,p...->...", P, weighted)
     if plain is not None:
-        rest = np.einsum("p...,p...->...", P, (plain @ L).reshape((-1,) + t.shape))
+        rest = np.einsum("p...,p...->...", P, plain)
     del P
     out *= singular_weight(x, alpha)
     if plain is not None:
@@ -280,7 +281,9 @@ def _eval_st_series(f: SpaceTimeInterpolant, weighted, plain, x, t):
 
 def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
     """Evaluate at points (x, t); x and t broadcast elementwise."""
-    return _eval_st_series(f, f.modal, None, x, t)
+    L = shifted_legendre(f.tgrid.N_t, t, f.tgrid.T)
+    cols = (f.modal @ L.reshape(len(L), -1)).reshape((-1,) + L.shape[1:])
+    return eval_weighted_columns(f.grid.alpha, cols, None, x)
 
 
 def st_frac_laplacian(f: SpaceTimeInterpolant) -> np.ndarray:
@@ -299,19 +302,3 @@ def st_time_derivative(f: SpaceTimeInterpolant) -> np.ndarray:
         ns = np.arange(q + 1, N_t + 1, 2)
         out[:, q] = f.modal[:, ns].sum(axis=1) * (2 * (2 * q + 1) / T)
     return out
-
-
-def st_operator(f: SpaceTimeInterpolant):
-    """u_t + (-Delta)^(alpha/2) u of the interpolant as a callable of (x, t).
-
-    Both modal matrices are built once; each call evaluates one Jacobi
-    table at x and shifted Legendre rows at t (x and t broadcast).
-    """
-    dudt = np.zeros_like(f.modal)
-    dudt[:, :-1] = st_time_derivative(f)
-    flap = st_frac_laplacian(f)
-
-    def apply(x, t):
-        return _eval_st_series(f, dudt, flap, x, t)
-
-    return apply

@@ -3,14 +3,19 @@
 Same contraction principle as the steady solver: walk estimates at the
 tensor collocation nodes seed a space-time interpolant, and later sweeps
 walk against the residual f - u_t - (-Delta)^(alpha/2) u_k with
-homogeneous exterior and initial data.  A sweep draws one block C of unit
+homogeneous exterior data.  A sweep draws one block C of unit
 walk sums (walks.unit_walk) from its stream (seed, k), and node (x_i, t_j)
 walks x_i + r_j C over [0, t_j], with r_j the fixed radius of dt = t_j /
 n_sub: common random numbers, so the nodes' noise is correlated, each
 node's correction stays unbiased and node order changes no number.
-The residual subtracts u_t + (-Delta)^(alpha/2) u_k
-in one pass (basis.st_operator): one Jacobi table at the path positions,
-and Legendre rows only at the walk's n_sub+1 distinct times.
+
+The source (presets.SeparableSource) is a modal series in the iterate's
+basis, so the residual is one series, the source's coefficients minus
+those of u_t + (-Delta)^(alpha/2) u_k (st_residual_source): a walk's
+residual call evaluates one Jacobi table and one singular weight, and
+the coefficient columns at a time node's n_sub+1 walk times are built
+once per sweep.  The initial-data residual u0 - u_k(., 0) is one
+weighted series too (st_residual_initial).
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ import numpy as np
 
 from .basis import (
     SpaceTimeInterpolant,
-    eval_st_interpolant,
+    WeightedSeries,
+    eval_weighted_columns,
     make_grid,
     make_time_grid,
+    shifted_legendre,
+    st_frac_laplacian,
     st_interpolate,
-    st_operator,
+    st_time_derivative,
 )
 from .poisson import Solution, check_shared_rules, run_sweeps
 from .specfun import DomainError
@@ -91,13 +99,54 @@ def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
 
 
 def st_residual_source(interp: SpaceTimeInterpolant, source):
-    """Residual f - u_t - (-Delta)^(alpha/2) u as a callable of (x, t)."""
-    operator = st_operator(interp)
+    """Residual f - u_t - (-Delta)^(alpha/2) u as one series in (x, t).
+
+    `source` is a presets.SeparableSource, f = -X sin t + (-Delta)^(a/2) X
+    cos t.  The residual is sum_p P_p(x) (w(x) W_p(t) + V_p(t)), w the
+    singular weight, with W(t) = -modal sin t - (u_t modal) L(t) and
+    V(t) = flap_modal cos t - ((-Delta)^(a/2) u modal) L(t), L(t) the
+    shifted Legendre column, up to the larger of the two spatial degrees.
+    A call evaluates one Jacobi table and one weight at x.  The columns W,
+    V at an array of times are built on its first call and kept (the
+    walks of a sweep share n_t+1 rows of times); they depend on the times
+    alone, so no result depends on the order of the calls.
+    """
+    alpha, tgrid = interp.grid.alpha, interp.tgrid
+    n_x, n_t = interp.grid.N_x, tgrid.N_t
+    degree = len(source.modal)
+    # W and V against the time rows (sin t, cos t, L_0(t), ..., L_n_t(t))
+    coeffs = np.zeros((2, max(n_x + 1, degree), n_t + 3))
+    coeffs[0, :degree, 0] = -source.modal
+    coeffs[0, : n_x + 1, 2 : n_t + 2] = -st_time_derivative(interp)
+    coeffs[1, :degree, 1] = source.flap_modal
+    coeffs[1, : n_x + 1, 2:] = -st_frac_laplacian(interp)
+    columns = {}
 
     def resid(x, t):
-        return source(x, t) - operator(x, t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        key = (t.shape, t.tobytes())
+        if key not in columns:
+            time_rows = np.concatenate(
+                [np.sin(t)[None], np.cos(t)[None], shifted_legendre(n_t, t, tgrid.T)]
+            )
+            columns[key] = (coeffs @ time_rows.reshape(n_t + 3, -1)).reshape(
+                coeffs.shape[:2] + t.shape
+            )
+        weighted, plain = columns[key]
+        return eval_weighted_columns(alpha, weighted, plain, x)
 
     return resid
+
+
+def st_residual_initial(
+    interp: SpaceTimeInterpolant, initial: WeightedSeries
+) -> WeightedSeries:
+    """Initial-data residual u0 - u(., 0) as one weighted series."""
+    at_zero = interp.modal @ shifted_legendre(interp.tgrid.N_t, 0.0, interp.tgrid.T)[:, 0]
+    coefficients = np.zeros(max(len(at_zero), len(initial.coefficients)))
+    coefficients[: len(initial.coefficients)] = initial.coefficients
+    coefficients[: len(at_zero)] -= at_zero
+    return WeightedSeries(initial.alpha, coefficients)
 
 
 _PROBE_X = np.linspace(-0.95, 0.95, 20)
@@ -110,7 +159,11 @@ def stsmc_solve(
     exterior=None,
     reference=None,
 ) -> Solution:
-    """Iterate walk sweeps over the space-time collocation tensor."""
+    """Iterate walk sweeps over the space-time collocation tensor.
+
+    `source` is a presets.SeparableSource and `initial` a
+    basis.WeightedSeries, as the parabolic presets give them.
+    """
     cfg.validate()
     grid = make_grid(cfg.alpha, cfg.n_x)
     tgrid = make_time_grid(cfg.final_time, cfg.n_t)
@@ -129,8 +182,7 @@ def stsmc_solve(
         # interior), so the residual problem keeps an initial-data term
         return PathFunctionalSpec(
             source=st_residual_source(cur, source),
-            initial=lambda x: initial(x)
-            - eval_st_interpolant(cur, x, np.zeros_like(np.asarray(x))),
+            initial=st_residual_initial(cur, initial),
         )
 
     probe_t = np.linspace(cfg.final_time / 40, cfg.final_time, 20)

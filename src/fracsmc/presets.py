@@ -27,12 +27,37 @@ class SteadyPreset:
 
 
 @dataclass(frozen=True)
+class SeparableSource:
+    """f(x, t) = -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t.
+
+    X = (1-x^2)^(alpha/2) sum_n modal[n] P_n^(alpha/2,alpha/2) and its
+    fractional Laplacian is sum_n flap_modal[n] P_n, flap_modal = modal
+    Gamma(n+alpha+1)/n!: the source of X(x) cos t.  The space-time
+    residual (parabolic.st_residual_source) reads the two coefficient
+    vectors; a call evaluates both series on one Jacobi table.
+    """
+
+    alpha: float
+    modal: np.ndarray = field(repr=False)
+    flap_modal: np.ndarray = field(repr=False)
+
+    def __call__(self, x, t):
+        x = np.asarray(x, dtype=float)
+        idx = JacobiIndex(self.alpha / 2, self.alpha / 2)
+        P = jacobi_eval_all(len(self.modal) - 1, idx, np.atleast_1d(x).ravel())
+        X = np.einsum("n,nx->x", self.modal, P).reshape(x.shape)
+        X *= singular_weight(x, self.alpha)
+        flap = np.einsum("n,nx->x", self.flap_modal, P).reshape(x.shape)
+        return -X * np.sin(t) + flap * np.cos(t)
+
+
+@dataclass(frozen=True)
 class ParabolicPreset:
     """Exact solution, source, and initial data for the evolution problem."""
 
     solution: Callable = field(repr=False)  # u(x, t)
-    source: Callable = field(repr=False)  # f(x, t)
-    initial: Callable = field(repr=False)  # u(x, 0)
+    source: SeparableSource = field(repr=False)  # f(x, t)
+    initial: WeightedSeries = field(repr=False)  # u(x, 0)
 
 
 def _modal_coefficients(alpha: float, smooth, degree: int) -> np.ndarray:
@@ -86,22 +111,14 @@ def _parabolic_from_series(alpha, smooth, degree):
     """Separable solution u(x,t) = X(x) cos(t) with its matched source."""
     modal = _modal_coefficients(alpha, smooth, degree)
     flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
-    idx = JacobiIndex(alpha / 2, alpha / 2)
     space = WeightedSeries(alpha, modal)
 
     def u(x, t):
         return space(x) * np.cos(t)
 
-    def f(x, t):
-        # time derivative -X sin(t) plus the fractional Laplacian term; X and
-        # its fractional Laplacian share one Jacobi table
-        x = np.asarray(x, dtype=float)
-        P = jacobi_eval_all(degree, idx, np.atleast_1d(x).ravel())
-        X = singular_weight(x, alpha) * np.einsum("n,nx->x", modal, P).reshape(x.shape)
-        flap = np.einsum("n,nx->x", flap_modal, P).reshape(x.shape)
-        return -X * np.sin(t) + flap * np.cos(t)
-
-    return ParabolicPreset(solution=u, source=f, initial=space)
+    return ParabolicPreset(
+        solution=u, source=SeparableSource(alpha, modal, flap_modal), initial=space
+    )
 
 
 def parabolic_poly_preset(alpha: float) -> ParabolicPreset:

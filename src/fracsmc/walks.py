@@ -353,6 +353,7 @@ def parabolic_walks(
     L = np.where(exited, outside.argmax(axis=1), n_sub)  # last in-domain index
 
     scores = np.zeros(n_paths)
+    rows = np.arange(n_paths)
     if spec.source is not None:
         ell = np.arange(n_sub + 1)
         in_prefix = ell[None, :] <= L[:, None]
@@ -362,12 +363,9 @@ def parabolic_walks(
         targ = ((n_sub - ell) * dt)[None, :]
         pos_safe = np.where(in_prefix, posn, 0.0)
         fv = np.where(in_prefix, spec.source(pos_safe, targ), 0.0)
-        weight = np.where(
-            (ell[None, :] == 0) | (ell[None, :] == L[:, None]), 0.5, 1.0
-        )
-        q = dt * np.sum(weight * fv, axis=1)
-        scores += np.where(L >= 1, q, 0.0)
-    rows = np.arange(n_paths)
+        # trapezoid over steps 0..L, whose ends carry half weight; a path
+        # with L = 0 scores f - f/2 - f/2 = 0
+        scores += dt * (fv.sum(axis=1) - 0.5 * fv[:, 0] - 0.5 * fv[rows, L])
     # stop point: first outside position for exited paths, else the final one
     stop = posn[rows, np.minimum(L + 1, n_sub)]
     if spec.initial is not None and (~exited).any():

@@ -16,3 +16,24 @@ def empirical_contraction(history) -> float:
     if not ratios:
         return float("nan")
     return float(np.exp(np.mean(np.log(ratios))))
+
+
+def st_operator_two_term(interp, x, t):
+    """u_t + (-Delta)^(alpha/2) u of a space-time interpolant at broadcast (x, t).
+
+    The reference form: the interpolant's two modal matrices (time
+    derivative and fractional Laplacian) contracted apart against scipy's
+    Jacobi and Legendre polynomials.
+    """
+    from scipy.special import eval_jacobi, eval_legendre
+
+    from fracsmc.basis import st_frac_laplacian, st_time_derivative
+
+    n_x, n_t, T = interp.grid.N_x, interp.tgrid.N_t, interp.tgrid.T
+    xb, tb = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+    a = interp.grid.alpha / 2
+    P = np.array([eval_jacobi(p, a, a, xb) for p in range(n_x + 1)])
+    L = np.array([eval_legendre(q, 2 * tb / T - 1) for q in range(n_t + 1)])
+    w = np.clip(1 - xb * xb, 0, None) ** a
+    out = np.einsum("pq,p...,q...->...", st_time_derivative(interp), w * P, L[:n_t])
+    return out + np.einsum("pq,p...,q...->...", st_frac_laplacian(interp), P, L)

@@ -16,13 +16,25 @@ from fracsmc.basis import (
     interpolate,
     make_grid,
     make_time_grid,
-    st_frac_laplacian,
     st_interpolate,
-    st_operator,
     st_time_derivative,
 )
+from fracsmc.parabolic import st_residual_source
+from fracsmc.presets import SeparableSource
+from helpers import st_operator_two_term
 
 ALPHAS = [0.4, 1.0, 1.6, 2.0]
+
+
+def st_operator(interp):
+    """u_t + (-Delta)^(alpha/2) u of the interpolant, as a callable of (x, t).
+
+    The solver evaluates it only inside the residual, so it is taken here
+    as minus the residual of a zero source.
+    """
+    zero = SeparableSource(interp.grid.alpha, np.zeros(1), np.zeros(1))
+    resid = st_residual_source(interp, zero)
+    return lambda x, t: -resid(x, t)
 
 
 def u_poly(alpha):
@@ -183,8 +195,6 @@ class TestSpaceTime:
     def test_operator_equals_two_term_form(self, layout):
         # u_t + (-Delta)^(a/2) u from one call equals the two modal matrices
         # evaluated apart, against scipy's Jacobi and Legendre polynomials
-        from scipy.special import eval_jacobi, eval_legendre
-
         alpha, T, n_x, n_t = 0.7, 0.8, 5, 4
         grid = make_grid(alpha, n_x)
         tgrid = make_time_grid(T, n_t)
@@ -198,13 +208,7 @@ class TestSpaceTime:
             t = np.linspace(0, T, 9)[None, :]
         else:
             x, t = 0.37, 0.21
-        xb, tb = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        a = alpha / 2
-        P = np.array([eval_jacobi(p, a, a, xb) for p in range(n_x + 1)])
-        L = np.array([eval_legendre(q, 2 * tb / T - 1) for q in range(n_t + 1)])
-        w = (1 - xb * xb) ** a
-        want = np.einsum("pq,p...,q...->...", st_time_derivative(interp), w * P, L[:n_t])
-        want += np.einsum("pq,p...,q...->...", st_frac_laplacian(interp), P, L)
+        want = st_operator_two_term(interp, x, t)
         got = st_operator(interp)(x, t)
         assert np.shape(got) == np.atleast_1d(want).shape
         np.testing.assert_allclose(got, want, rtol=1e-12)

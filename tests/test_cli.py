@@ -308,6 +308,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert key in err and field not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exits_2_before_solving(
+        self, threads, tmp_path, monkeypatch, capsys
+    ):
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "r.csv"
+        cfg = self._write(tmp_path, GOOD + f"out = {out}\n")
+        assert main(["run", cfg, "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --threads must be positive, got {threads}")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"
         p.write_bytes(b"equation = poisson\npreset = \xff\xfe\n")
@@ -338,6 +350,31 @@ class TestMainExitCodes:
         out = tmp_path / "override.csv"
         assert main(["run", cfg, "--seed", "9", "--out", str(out), "--threads", "1"]) == 0
         assert "seed=9" in out.read_text().splitlines()[0]
+
+
+class TestValidateOutput:
+    @pytest.mark.parametrize(
+        "excess, shown", [(0.0, "rel<1e-12"), (4e-16, "rel<1e-12"), (3e-5, "rel=3.00e-05")]
+    )
+    def test_derivative_identity_prints_roundoff_as_a_bound(
+        self, excess, shown, monkeypatch, capsys
+    ):
+        # a relative error at round-off printed with three digits changed the
+        # output of `validate all` on a 1-ulp move of either side
+        import fracsmc.cli as cli
+        from fracsmc import oracles
+
+        def direct(u, x, alpha):
+            n = {0.6: 0, 1.2: 2}[alpha]
+            want = float(oracles.gjf_identity_rhs(n, alpha, np.array([x]))[0])
+            return want * (1 + excess)
+
+        monkeypatch.setattr(oracles, "frac_laplacian_direct", direct)
+        failures = []
+        cli._suite_oracle(failures, 0)
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "derivative" in ln]
+        assert len(lines) == 2 and all(ln.endswith(f": {shown}") for ln in lines)
+        assert failures == []
 
 
 BUNDLED = Path(__file__).resolve().parents[1] / "scripts" / "configs"

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from fracsmc import parabolic, poisson
-from fracsmc.basis import make_grid, make_time_grid
-from fracsmc.parabolic import ParabolicConfig, st_residual_source, stsmc_solve
+from fracsmc.basis import eval_st_interpolant, make_grid, make_time_grid, st_interpolate
+from fracsmc.parabolic import (
+    ParabolicConfig,
+    st_residual_initial,
+    st_residual_source,
+    stsmc_solve,
+)
 from fracsmc.poisson import Solution
 from fracsmc.presets import parabolic_poly_preset, parabolic_sine_preset
 from fracsmc.rng import RngStream
-from fracsmc.walks import fixed_radius, unit_walk
+from fracsmc.walks import PathFunctionalSpec, fixed_radius, parabolic_walks, unit_walk
+from helpers import st_operator_two_term
 
 
 class TestStsmcSolve:
@@ -167,10 +173,77 @@ class TestStopReasons:
             assert sol.history[-1].e_inf <= 2 * full.history[-1].e_inf, seed
 
 
-class TestStResidual:
-    def test_vanishes_for_exact_tensor_values(self):
-        from fracsmc.basis import make_grid, make_time_grid, st_interpolate
+def _perturbed_interpolant(pre, alpha, n_x, n_t, T, seed):
+    """Interpolant of the preset's solution plus 0.01-size noise at the nodes.
 
+    Its residual is O(1), so the 1e-13 bounds below are ~1e-14 relative.
+    """
+    grid, tgrid = make_grid(alpha, n_x), make_time_grid(T, n_t)
+    X, TT = np.meshgrid(grid.nodes, tgrid.nodes, indexing="ij")
+    noise = 0.01 * np.random.default_rng(seed).normal(size=X.shape)
+    return st_interpolate(grid, tgrid, pre.solution(X, TT) + noise)
+
+
+# u1: preset degree 2 < n_x = 6; sine: preset degree 50 > n_x = 10, so the
+# fold pads the iterate's coefficients in one case and the source's in the other
+FOLD_CASES = [(parabolic_poly_preset, 0.4, 6), (parabolic_sine_preset, 1.3, 10)]
+
+
+class TestStResidual:
+    @pytest.mark.parametrize("make, alpha, n_x", FOLD_CASES)
+    @pytest.mark.parametrize("layout", ["scattered", "row_of_times"])
+    def test_fold_equals_source_minus_operator(self, make, alpha, n_x, layout):
+        pre = make(alpha)
+        T = 0.5
+        interp = _perturbed_interpolant(pre, alpha, n_x, 6, T, seed=n_x)
+        rng = np.random.default_rng(3)
+        if layout == "scattered":
+            x, t = rng.uniform(-1, 1, 200), rng.uniform(0, T, 200)
+        else:  # a walk's layout: positions per path, one shared row of times
+            x, t = rng.uniform(-1, 1, (30, 65)), np.linspace(T, 0, 65)[None, :]
+        want = pre.source(x, t) - st_operator_two_term(interp, x, t)
+        got = st_residual_source(interp, pre.source)(x, t)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("make, alpha, n_x", FOLD_CASES)
+    def test_folded_initial_equals_initial_minus_iterate(self, make, alpha, n_x):
+        pre = make(alpha)
+        interp = _perturbed_interpolant(pre, alpha, n_x, 6, 0.5, seed=n_x)
+        x = np.random.default_rng(4).uniform(-1, 1, 200)
+        want = pre.initial(x) - eval_st_interpolant(interp, x, np.zeros_like(x))
+        got = st_residual_initial(interp, pre.initial)(x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_node_order_does_not_change_a_sweep(self):
+        # the residual keeps the coefficient columns of each row of times it
+        # has seen; walking the nodes forward, backward or each with a fresh
+        # residual gives the same bytes
+        alpha, n_x, n_t, T, n_sub = 0.4, 6, 6, 0.5, 64
+        pre = parabolic_poly_preset(alpha)
+        interp = _perturbed_interpolant(pre, alpha, n_x, n_t, T, seed=0)
+        unit = unit_walk(RngStream(1).child(2), alpha, 50, n_sub)
+        nodes = [(float(x), float(t)) for x in interp.grid.nodes for t in interp.tgrid.nodes]
+
+        def spec():
+            return PathFunctionalSpec(
+                source=st_residual_source(interp, pre.source),
+                initial=st_residual_initial(interp, pre.initial),
+            )
+
+        def sweep(order, fresh=False):
+            shared = spec()
+            return {
+                node: parabolic_walks(*node, spec() if fresh else shared, alpha, unit)
+                for node in order
+            }
+
+        forward = sweep(nodes)
+        for other in (sweep(nodes[::-1]), sweep(nodes, fresh=True)):
+            for node in nodes:
+                np.testing.assert_array_equal(other[node].scores, forward[node].scores)
+
+    def test_vanishes_for_exact_tensor_values(self):
         pre = parabolic_sine_preset(0.9)
         grid = make_grid(0.9, 10)
         tgrid = make_time_grid(1.0, 6)

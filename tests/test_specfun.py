@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
 
-from fracsmc.basis import _shifted_legendre
+from fracsmc.basis import shifted_legendre
 from fracsmc.specfun import (
     DomainError,
     JacobiIndex,
@@ -117,7 +117,7 @@ class TestLegendre:
         T = 0.5
         t = np.linspace(0, T, 9)
         np.testing.assert_allclose(
-            _shifted_legendre(4, t, T)[4],
+            shifted_legendre(4, t, T)[4],
             eval_legendre(4, 2 * t / T - 1),
             rtol=1e-12,
             atol=1e-13,
