@@ -256,10 +256,9 @@ def _suite_walk(failures: list, seed: int) -> None:
     from scipy.special import betainc, gamma as gamma_fn
 
     for alpha in (0.6, 1.4, 2.0):
-        spec = walks.PathFunctionalSpec(
-            source=lambda x: np.ones_like(x), exterior=lambda x: np.zeros_like(x)
+        batch = walks.poisson_walks(
+            0.5, lambda x: np.ones_like(x), alpha, RngStream(seed), 20000
         )
-        batch = walks.poisson_walks(0.5, spec, alpha, RngStream(seed), 20000)
         want = (1 - 0.25) ** (alpha / 2) / gamma_fn(1 + alpha)
         m = batch.mean_score()
         se = batch.scores.std() / np.sqrt(len(batch.scores))

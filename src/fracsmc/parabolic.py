@@ -1,13 +1,15 @@
 """Space-time iterated solver for the fractional evolution problem.
 
-Same contraction principle as the steady solver: walk estimates at the
-tensor collocation nodes seed a space-time interpolant, and later sweeps
-walk against the residual f - u_t - (-Delta)^(alpha/2) u_k with
-homogeneous exterior data.  A sweep draws one block C of unit
-walk sums (walks.unit_walk) from its stream (seed, k), and node (x_i, t_j)
-walks x_i + r_j C over [0, t_j], with r_j the fixed radius of dt = t_j /
-n_sub: common random numbers, so the nodes' noise is correlated, each
-node's correction stays unbiased and node order changes no number.
+Same contraction principle as the steady solver, with zero exterior
+data: the iterate starts at zero, and every sweep walks the residual
+f - u_t - (-Delta)^(alpha/2) u_k of the current iterate u_k, with the
+initial-data residual u0 - u_k(., 0) at the paths that stay inside, from
+the tensor collocation nodes, and adds the mean to u_k.  A sweep draws
+one block C of unit walk sums (walks.unit_walk) from its stream (seed,
+k), and node (x_i, t_j) walks x_i + r_j C over [0, t_j], with r_j the
+fixed radius of dt = t_j / n_sub: common random numbers, so the nodes'
+noise is correlated, each node's correction stays unbiased and node
+order changes no number.
 
 The source (presets.SeparableSource) is a modal series in the iterate's
 basis, so the residual is one series, the source's coefficients minus
@@ -37,13 +39,7 @@ from .basis import (
 )
 from .poisson import Solution, check_shared_rules, run_sweeps
 from .specfun import DomainError
-from .walks import (
-    MAX_UNIT_JUMP,
-    PathFunctionalSpec,
-    fixed_radius,
-    parabolic_walks,
-    unit_walk,
-)
+from .walks import MAX_UNIT_JUMP, fixed_radius, parabolic_walks, unit_walk
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,6 @@ def stsmc_solve(
     cfg: ParabolicConfig,
     source,
     initial,
-    exterior=None,
     reference=None,
 ) -> Solution:
     """Iterate walk sweeps over the space-time collocation tensor.
@@ -168,22 +163,18 @@ def stsmc_solve(
     grid = make_grid(cfg.alpha, cfg.n_x)
     tgrid = make_time_grid(cfg.final_time, cfg.n_t)
 
-    def walk(spec, stream):
+    def walk(cur, stream):
+        # the iterate does not interpolate u0 (the time nodes are all
+        # interior), so the residual problem keeps an initial-data term
+        resid = st_residual_source(cur, source)
+        resid0 = st_residual_initial(cur, initial)
         # common random numbers: every node walks the sweep's one block
         unit = unit_walk(stream, cfg.alpha, cfg.n_walks, cfg.n_sub)
         return [
-            parabolic_walks(float(x), float(t), spec, cfg.alpha, unit)
+            parabolic_walks(float(x), float(t), resid, resid0, cfg.alpha, unit)
             for x in grid.nodes
             for t in tgrid.nodes
         ]
-
-    def next_spec(cur):
-        # the iterate does not interpolate u0 (the time nodes are all
-        # interior), so the residual problem keeps an initial-data term
-        return PathFunctionalSpec(
-            source=st_residual_source(cur, source),
-            initial=st_residual_initial(cur, initial),
-        )
 
     probe_t = np.linspace(cfg.final_time / 40, cfg.final_time, 20)
     px, pt = np.meshgrid(_PROBE_X, probe_t, indexing="ij")
@@ -195,8 +186,6 @@ def stsmc_solve(
     return run_sweeps(
         cfg,
         (cfg.n_x + 1, cfg.n_t + 1),
-        PathFunctionalSpec(source=source, exterior=exterior, initial=initial),
-        next_spec,
         walk,
         lambda u: st_interpolate(grid, tgrid, u),
         reference,

@@ -1,13 +1,15 @@
 """Iterated walk-on-spheres solver for the fractional Poisson problem.
 
-The first sweep is a plain Monte Carlo estimate of the solution at the
-interpolation nodes.  Every later sweep interpolates the current iterate,
-forms the residual source f - (-Delta)^(alpha/2) u_k through the diagonal
-modal map, and runs fresh walks against that residual with homogeneous
-exterior data.  With exact arithmetic each sweep multiplies the error by
-an interpolation-type contraction factor, so a handful of sweeps with a
-small walk budget reaches noise-free accuracy.  `run_sweeps` is that
-loop; the space-time solver drives it too, and both return its `Solution`.
+The solvers take zero exterior data.  The iterate starts at zero, and
+every sweep interpolates the current iterate u_k, forms the residual
+source f - (-Delta)^(alpha/2) u_k through the diagonal modal map, runs
+fresh walks against that residual at the interpolation nodes and adds
+their mean to u_k; sweep 1, from u_0 = 0, is the plain Monte Carlo
+estimate of the solution.  With exact arithmetic each sweep multiplies
+the error by an interpolation-type contraction factor, so a handful of
+sweeps with a small walk budget reaches noise-free accuracy.
+`run_sweeps` is that loop; the space-time solver drives it too, and both
+return its `Solution`.
 
 The loop stops for one of three reasons:
 
@@ -36,7 +38,7 @@ from .basis import (
     make_grid,
 )
 from .rng import RngStream
-from .walks import OCCUPATION_NODES, PathFunctionalSpec, poisson_walks
+from .walks import OCCUPATION_NODES, poisson_walks
 
 # The stall rule.  max_update / se is 12-90 while the error contracts at
 # M = 50-100 walks and mostly 0.4-3.7 once it sits at the floor; at M = 10
@@ -140,21 +142,21 @@ def residual_source(interp: Interpolant1D, source):
 _PROBE = np.linspace(-0.97, 0.97, 50)
 
 
-def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
+def run_sweeps(cfg, shape, walk, fit, reference, probe):
     """The sweep loop both solvers share; returns the final `Solution`.
 
-    Sweep 1 walks against `first_spec`; sweep k > 1 walks against
-    `next_spec(interp)` for the current interpolant and adds the mean
-    correction.  The nodal values form an array of shape `shape`; sweep k
-    calls `walk(spec, stream)` once with stream (seed, k) and gets one
-    WalkBatch per node in np.ndindex(shape) order.  Steady node j draws
-    from (seed, k, j); space-time nodes share (seed, k) (common random
-    numbers: correlated noise, each node unbiased).  So no number depends
-    on the order in which the nodes are walked.  `fit(u)` interpolates the
-    nodal values.  With a reference, e_inf is the sup error of the
-    interpolant over the points in the tuple `probe` (one array per
-    coordinate), where the reference is evaluated once; without one it is
-    NaN.  The stop reasons are described in the module docstring.
+    The nodal values form an array of shape `shape`, zero at the start.
+    Sweep k calls `walk(interp, stream)` once, with the interpolant of the
+    current nodal values and stream (seed, k); it walks the residual of
+    that iterate and gives one WalkBatch per node in np.ndindex(shape)
+    order, whose mean scores are added to the nodal values.  Steady node
+    j draws from (seed, k, j); space-time nodes share (seed, k) (common
+    random numbers: correlated noise, each node unbiased).  So no number
+    depends on the order in which the nodes are walked.  `fit(u)`
+    interpolates the nodal values.  With a reference, e_inf is the sup
+    error of the interpolant over the points in the tuple `probe` (one
+    array per coordinate), where the reference is evaluated once; without
+    one it is NaN.  The stop reasons are described in the module docstring.
     """
     exact = None if reference is None else reference(*probe)
     root = RngStream(cfg.seed)
@@ -165,15 +167,14 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
     was_noise = False
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
-        spec = first_spec if k == 1 else next_spec(interp)
-        batches = walk(spec, root.child(k))
+        batches = walk(interp, root.child(k))
         est = np.array([b.mean_score() for b in batches]).reshape(shape)
         capped_rate = sum(b.n_capped for b in batches) / max(
             sum(len(b.capped) for b in batches), 1
         )
         se = max(b.standard_error() for b in batches)
         steps = np.concatenate([b.steps for b in batches])
-        new = est if k == 1 else u + est
+        new = u + est
         max_update = float(np.max(np.abs(new - u)))
         u = new
         interp = fit(u)
@@ -217,7 +218,6 @@ def run_sweeps(cfg, shape, first_spec, next_spec, walk, fit, reference, probe):
 def smc_solve(
     cfg: PoissonConfig,
     source,
-    exterior=None,
     reference=None,
 ) -> Solution:
     """Run the iterated solve until it stops by tol, by a stall or at k_max.
@@ -230,26 +230,19 @@ def smc_solve(
     grid = make_grid(cfg.alpha, cfg.n_x)
     nodes = grid.nodes
 
-    def walk(spec, stream):
+    def walk(interp, stream):
+        resid = residual_source(interp, source)
         return [
-            poisson_walks(float(x), spec, cfg.alpha, stream.child(j), cfg.n_walks)
+            poisson_walks(
+                float(x), resid, cfg.alpha, stream.child(j), cfg.n_walks,
+                cfg.inner_samples,
+            )
             for j, x in enumerate(nodes)
         ]
 
-    def next_spec(interp):
-        return PathFunctionalSpec(
-            source=residual_source(interp, source),
-            inner_samples=cfg.inner_samples,
-        )
-
-    first = PathFunctionalSpec(
-        source=source, exterior=exterior, inner_samples=cfg.inner_samples
-    )
     return run_sweeps(
         cfg,
         (len(nodes),),
-        first,
-        next_spec,
         walk,
         lambda u: interpolate(grid, u),
         reference,

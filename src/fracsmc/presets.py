@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import WeightedSeries, eval_jacobi_series, frac_diag_factor, singular_weight
+from .basis import WeightedSeries, eval_jacobi_series, frac_diag_factor
 from .specfun import JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
 
 
@@ -28,27 +28,18 @@ class SteadyPreset:
 
 @dataclass(frozen=True)
 class SeparableSource:
-    """f(x, t) = -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t.
+    """f(x, t) = -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t, as coefficients.
 
     X = (1-x^2)^(alpha/2) sum_n modal[n] P_n^(alpha/2,alpha/2) and its
     fractional Laplacian is sum_n flap_modal[n] P_n, flap_modal = modal
     Gamma(n+alpha+1)/n!: the source of X(x) cos t.  The space-time
-    residual (parabolic.st_residual_source) reads the two coefficient
-    vectors; a call evaluates both series on one Jacobi table.
+    residual (parabolic.st_residual_source) folds the two coefficient
+    vectors into its own series; nothing evaluates f apart from it.
     """
 
     alpha: float
     modal: np.ndarray = field(repr=False)
     flap_modal: np.ndarray = field(repr=False)
-
-    def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        idx = JacobiIndex(self.alpha / 2, self.alpha / 2)
-        P = jacobi_eval_all(len(self.modal) - 1, idx, np.atleast_1d(x).ravel())
-        X = np.einsum("n,nx->x", self.modal, P).reshape(x.shape)
-        X *= singular_weight(x, self.alpha)
-        flap = np.einsum("n,nx->x", self.flap_modal, P).reshape(x.shape)
-        return -X * np.sin(t) + flap * np.cos(t)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ walk for the parabolic problem with a trapezoid source functional along
 the path.  parabolic_walks draws nothing: it walks a unit_walk block, which
 all nodes of a sweep share (correlated noise, each node still unbiased).
 
+The exterior data are zero: a path scores nothing where it leaves (-1, 1).
+Each kernel takes the numpy-vectorized functions it scores, the source
+and, for the parabolic walk, the initial data; the solvers pass the
+residuals of their current iterate.
+
 Occupation law: the normalized Green's function of the unit ball, seen
 from its center, is the law of Y = S V with S^2 ~ Beta(1/2, a/2), a
 symmetric sign, and V = U^(1/a).  poisson_walks averages the source under
@@ -41,8 +46,8 @@ DEFAULT_JUMP_LAW = JUMP_LAW_EXIT
 POISSON_STEP_CAP = 100_000
 _W_FLOOR = 5e-324  # floor on the jump samplers' W, so J = W^(-1/2) stays finite
 MAX_UNIT_JUMP = 1 / math.sqrt(_W_FLOOR)  # sample_jump's largest draw, ~4.5e161
-# default node count of the occupation rule (PathFunctionalSpec, PoissonConfig
-# and the `m1` config key)
+# default node count of the occupation rule (poisson_walks, PoissonConfig and
+# the `m1` config key)
 OCCUPATION_NODES = 32
 
 
@@ -68,8 +73,6 @@ class WalkBatch:
 
     scores: np.ndarray
     steps: np.ndarray
-    exit_points: np.ndarray
-    exited: np.ndarray
     capped: np.ndarray
 
     @property
@@ -88,23 +91,6 @@ class WalkBatch:
         ok = self.scores[~self.capped]
         dev = ok - ok.sum() / len(ok)
         return math.sqrt(dev @ dev) / len(ok)
-
-
-@dataclass(frozen=True)
-class PathFunctionalSpec:
-    """Callbacks scored along a walk; all must be numpy-vectorized.
-
-    Callbacks receive arrays that broadcast against each other, not arrays
-    of equal shape: parabolic_walks passes the source its positions as
-    (n_paths, n_sub+1) and its times as one (1, n_sub+1) row.  The result
-    must broadcast to the positions' shape.
-    """
-
-    source: Callable = None
-    exterior: Callable = None
-    initial: Callable = None
-    # nodes n of the occupation rule, exact to degree 2n-1
-    inner_samples: int = OCCUPATION_NODES
 
 
 def expected_exit_coeff(alpha: float) -> float:
@@ -244,29 +230,29 @@ def sample_interior(
 
 def poisson_walks(
     x0: float,
-    spec: PathFunctionalSpec,
+    source: Callable,
     alpha: float,
     stream: RngStream,
     n_paths: int,
+    n_rule: int = OCCUPATION_NODES,
 ) -> WalkBatch:
     """Simulate n_paths walk-on-spheres paths from x0, vectorized per step.
 
-    Score per path: g at the exit point plus the occupation-weighted inner
-    averages of the source over the visited balls.
+    Score per path: the occupation-weighted averages of `source` over the
+    visited balls, each by the n_rule-point occupation_rule (exact to
+    degree 2 n_rule - 1); `source` maps an array of points to values of
+    the same shape.
     """
     if not -1 < x0 < 1:
         raise DomainError("start point must lie in (-1, 1)")
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     rng = stream.generator()
-    f, g = spec.source, spec.exterior
-    if f is not None:
-        nodes, weights = occupation_rule(alpha, spec.inner_samples)
+    nodes, weights = occupation_rule(alpha, n_rule)
 
     pos = np.full(n_paths, float(x0))
     scores = np.zeros(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
-    exit_points = np.full(n_paths, np.nan)
     active = np.ones(n_paths, dtype=bool)
     gamma1a = sp.gamma(1 + alpha)
 
@@ -278,9 +264,8 @@ def poisson_walks(
         r = 1.0 - np.abs(x)
         # source term: occupation weight times the mean of f under the
         # occupation law of the ball, by the Gauss rule for that law
-        if f is not None:
-            y = x[:, None] + r[:, None] * nodes
-            scores[idx] += (r**alpha / gamma1a) * (f(y) @ weights)
+        y = x[:, None] + r[:, None] * nodes
+        scores[idx] += (r**alpha / gamma1a) * (source(y) @ weights)
         # ball exit
         if alpha == 2:
             jump = r
@@ -289,21 +274,10 @@ def poisson_walks(
         new = x + jump * sample_direction_1d(rng, size=len(idx))
         pos[idx] = new
         steps[idx] += 1
-        out = np.abs(new) >= 1.0
-        done = idx[out]
-        exit_points[done] = new[out]
-        if g is not None and len(done):
-            scores[done] += g(new[out])
-        active[done] = False
+        active[idx[np.abs(new) >= 1.0]] = False
 
-    capped = active.copy()
-    return WalkBatch(
-        scores=scores,
-        steps=steps,
-        exit_points=exit_points,
-        exited=~capped,
-        capped=capped,
-    )
+    # paths still active hit the step cap
+    return WalkBatch(scores=scores, steps=steps, capped=active)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +302,8 @@ def unit_walk(stream: RngStream, alpha: float, n_paths: int, n_sub: int) -> np.n
 def parabolic_walks(
     x0: float,
     t_n: float,
-    spec: PathFunctionalSpec,
+    source: Callable,
+    initial: Callable,
     alpha: float,
     unit: np.ndarray,
 ) -> WalkBatch:
@@ -338,7 +313,11 @@ def parabolic_walks(
     subdivision count n_sub.  Each path takes up to n_sub ball-exit jumps
     of the fixed radius r whose expected exit time is dt = t_n / n_sub, so
     its positions are x0 + r * unit.  The trapezoid functional
-    accumulates the source backward in time along the in-domain prefix.
+    accumulates `source` backward in time along the in-domain prefix, and
+    a path still inside after n_sub jumps adds `initial` at its last
+    position.  `source(x, t)` gets positions of shape (n_paths, n_sub+1)
+    and times as one (1, n_sub+1) row, and must give values broadcast to
+    the positions' shape; `initial(x)` gets one array of positions.
     """
     n_paths, n_sub = unit.shape[0], unit.shape[1] - 1
     if t_n <= 0 or n_sub < 1:
@@ -349,34 +328,22 @@ def parabolic_walks(
     posn = x0 + fixed_radius(dt, alpha) * unit
 
     outside = np.abs(posn[:, 1:]) >= 1.0  # (paths, n_sub), step ell = col ell-1
-    exited = outside.any(axis=1)
-    L = np.where(exited, outside.argmax(axis=1), n_sub)  # last in-domain index
+    stays = ~outside.any(axis=1)
+    L = np.where(stays, n_sub, outside.argmax(axis=1))  # last in-domain index
 
-    scores = np.zeros(n_paths)
-    rows = np.arange(n_paths)
-    if spec.source is not None:
-        ell = np.arange(n_sub + 1)
-        in_prefix = ell[None, :] <= L[:, None]
-        # step ell of the backward walk sits at physical time t_n - ell dt;
-        # positions past the prefix are masked before evaluation (they can
-        # be outside the domain); the times are one row shared by all paths
-        targ = ((n_sub - ell) * dt)[None, :]
-        pos_safe = np.where(in_prefix, posn, 0.0)
-        fv = np.where(in_prefix, spec.source(pos_safe, targ), 0.0)
-        # trapezoid over steps 0..L, whose ends carry half weight; a path
-        # with L = 0 scores f - f/2 - f/2 = 0
-        scores += dt * (fv.sum(axis=1) - 0.5 * fv[:, 0] - 0.5 * fv[rows, L])
-    # stop point: first outside position for exited paths, else the final one
-    stop = posn[rows, np.minimum(L + 1, n_sub)]
-    if spec.initial is not None and (~exited).any():
-        scores[~exited] += spec.initial(posn[rows[~exited], n_sub])
-    if spec.exterior is not None and exited.any():
-        scores[exited] += spec.exterior(stop[exited], t_n - (L[exited] + 1) * dt)
+    ell = np.arange(n_sub + 1)
+    in_prefix = ell[None, :] <= L[:, None]
+    # step ell of the backward walk sits at physical time t_n - ell dt;
+    # positions past the prefix are masked before evaluation (they can be
+    # outside the domain); the times are one row shared by all paths
+    targ = ((n_sub - ell) * dt)[None, :]
+    pos_safe = np.where(in_prefix, posn, 0.0)
+    fv = np.where(in_prefix, source(pos_safe, targ), 0.0)
+    # trapezoid over steps 0..L, whose ends carry half weight; a path with
+    # L = 0 scores f - f/2 - f/2 = 0
+    scores = dt * (fv.sum(axis=1) - 0.5 * fv[:, 0] - 0.5 * fv[np.arange(n_paths), L])
+    scores[stays] += initial(posn[stays, n_sub])
 
     return WalkBatch(
-        scores=scores,
-        steps=L.astype(np.int64),
-        exit_points=stop,
-        exited=exited,
-        capped=np.zeros(n_paths, dtype=bool),
+        scores=scores, steps=L.astype(np.int64), capped=np.zeros(n_paths, dtype=bool)
     )

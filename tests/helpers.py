@@ -37,3 +37,21 @@ def st_operator_two_term(interp, x, t):
     w = np.clip(1 - xb * xb, 0, None) ** a
     out = np.einsum("pq,p...,q...->...", st_time_derivative(interp), w * P, L[:n_t])
     return out + np.einsum("pq,p...,q...->...", st_frac_laplacian(interp), P, L)
+
+
+def separable_source(source, x, t):
+    """Values of a presets.SeparableSource at broadcast (x, t).
+
+    The reference form: the two modal series evaluated apart on one Jacobi
+    table, -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t.
+    """
+    from fracsmc.basis import singular_weight
+    from fracsmc.specfun import JacobiIndex, jacobi_eval_all
+
+    x = np.asarray(x, dtype=float)
+    idx = JacobiIndex(source.alpha / 2, source.alpha / 2)
+    P = jacobi_eval_all(len(source.modal) - 1, idx, np.atleast_1d(x).ravel())
+    X = np.einsum("n,nx->x", source.modal, P).reshape(x.shape)
+    X *= singular_weight(x, source.alpha)
+    flap = np.einsum("n,nx->x", source.flap_modal, P).reshape(x.shape)
+    return -X * np.sin(t) + flap * np.cos(t)

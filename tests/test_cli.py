@@ -515,3 +515,25 @@ class TestColdRun:
         proc = _fresh_interpreter("-m", "fracsmc.cli", "validate", "oracle")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines()[-1] == "all checks passed"
+
+
+class TestStudyScripts:
+    # the study scripts call the solver and oracle entry points directly and
+    # nothing else runs them; small arguments take a second or two each
+    @pytest.mark.parametrize(
+        "script, args, header",
+        [
+            ("convergence_study.py", ["--alphas", "1.2", "--n-x", "2", "--walks", "10"],
+             "alpha  n_x  sweeps  stop     e_inf"),
+            ("jump_law_study.py",
+             ["--alphas", "1.0", "--steps-per-exit", "20", "--n-jump", "1000",
+              "--n-euler", "200"],
+             "alpha  steps/exit  KS(exit_law)  KS(verbatim)"),
+        ],
+        ids=["convergence_study", "jump_law_study"],
+    )
+    def test_runs_and_prints_one_row(self, script, args, header):
+        proc = _fresh_interpreter(str(BUNDLED.parent / script), *args)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == header and len(lines) == 2  # one alpha, one row

@@ -14,8 +14,8 @@ from fracsmc.parabolic import (
 from fracsmc.poisson import Solution
 from fracsmc.presets import parabolic_poly_preset, parabolic_sine_preset
 from fracsmc.rng import RngStream
-from fracsmc.walks import PathFunctionalSpec, fixed_radius, parabolic_walks, unit_walk
-from helpers import st_operator_two_term
+from fracsmc.walks import fixed_radius, parabolic_walks, unit_walk
+from helpers import separable_source, st_operator_two_term
 
 
 class TestStsmcSolve:
@@ -113,8 +113,8 @@ class TestCommonRandomNumbers:
         calls = []
         walk = parabolic.parabolic_walks
 
-        def recording(x0, t_n, spec, alpha, unit):
-            batch = walk(x0, t_n, spec, alpha, unit)
+        def recording(x0, t_n, source, initial, alpha, unit):
+            batch = walk(x0, t_n, source, initial, alpha, unit)
             calls.append((x0, t_n, unit, batch))
             return batch
 
@@ -136,15 +136,13 @@ class TestCommonRandomNumbers:
             np.testing.assert_array_equal(
                 unit, unit_walk(RngStream(4).child(k), 0.7, 200, 16)
             )
-            # two nodes with different x and t: each stops where x_i + r_j C
-            # first leaves (-1, 1), or at its last position
+            # two nodes with different x and t: each path's last in-domain
+            # step is the one before x_i + r_j C first leaves (-1, 1), or 16
             for x0, t_n, _, batch in (sweep[0], sweep[-1]):
                 posn = x0 + fixed_radius(t_n / 16, 0.7) * unit
                 out = np.abs(posn[:, 1:]) >= 1.0
-                last = np.where(out.any(axis=1), out.argmax(axis=1) + 1, 16)
-                stop = posn[np.arange(200), last]
-                np.testing.assert_array_equal(batch.exit_points, stop)
-                np.testing.assert_array_equal(batch.exited, out.any(axis=1))
+                last = np.where(out.any(axis=1), out.argmax(axis=1), 16)
+                np.testing.assert_array_equal(batch.steps, last)
         assert sweep[0][:2] != sweep[-1][:2]
 
 
@@ -184,6 +182,12 @@ def _perturbed_interpolant(pre, alpha, n_x, n_t, T, seed):
     return st_interpolate(grid, tgrid, pre.solution(X, TT) + noise)
 
 
+def _zero_interpolant(alpha, n_x, n_t, T):
+    """The zero iterate, from which every solve starts."""
+    grid, tgrid = make_grid(alpha, n_x), make_time_grid(T, n_t)
+    return st_interpolate(grid, tgrid, np.zeros((n_x + 1, n_t + 1)))
+
+
 # u1: preset degree 2 < n_x = 6; sine: preset degree 50 > n_x = 10, so the
 # fold pads the iterate's coefficients in one case and the source's in the other
 FOLD_CASES = [(parabolic_poly_preset, 0.4, 6), (parabolic_sine_preset, 1.3, 10)]
@@ -195,25 +199,31 @@ class TestStResidual:
     def test_fold_equals_source_minus_operator(self, make, alpha, n_x, layout):
         pre = make(alpha)
         T = 0.5
-        interp = _perturbed_interpolant(pre, alpha, n_x, 6, T, seed=n_x)
         rng = np.random.default_rng(3)
         if layout == "scattered":
             x, t = rng.uniform(-1, 1, 200), rng.uniform(0, T, 200)
         else:  # a walk's layout: positions per path, one shared row of times
             x, t = rng.uniform(-1, 1, (30, 65)), np.linspace(T, 0, 65)[None, :]
-        want = pre.source(x, t) - st_operator_two_term(interp, x, t)
-        got = st_residual_source(interp, pre.source)(x, t)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        for interp in (
+            _perturbed_interpolant(pre, alpha, n_x, 6, T, seed=n_x),
+            _zero_interpolant(alpha, n_x, 6, T),
+        ):
+            want = separable_source(pre.source, x, t) - st_operator_two_term(interp, x, t)
+            got = st_residual_source(interp, pre.source)(x, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("make, alpha, n_x", FOLD_CASES)
     def test_folded_initial_equals_initial_minus_iterate(self, make, alpha, n_x):
         pre = make(alpha)
-        interp = _perturbed_interpolant(pre, alpha, n_x, 6, 0.5, seed=n_x)
         x = np.random.default_rng(4).uniform(-1, 1, 200)
-        want = pre.initial(x) - eval_st_interpolant(interp, x, np.zeros_like(x))
-        got = st_residual_initial(interp, pre.initial)(x)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        for interp in (
+            _perturbed_interpolant(pre, alpha, n_x, 6, 0.5, seed=n_x),
+            _zero_interpolant(alpha, n_x, 6, 0.5),
+        ):
+            want = pre.initial(x) - eval_st_interpolant(interp, x, np.zeros_like(x))
+            got = st_residual_initial(interp, pre.initial)(x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_node_order_does_not_change_a_sweep(self):
         # the residual keeps the coefficient columns of each row of times it
@@ -225,16 +235,18 @@ class TestStResidual:
         unit = unit_walk(RngStream(1).child(2), alpha, 50, n_sub)
         nodes = [(float(x), float(t)) for x in interp.grid.nodes for t in interp.tgrid.nodes]
 
-        def spec():
-            return PathFunctionalSpec(
-                source=st_residual_source(interp, pre.source),
-                initial=st_residual_initial(interp, pre.initial),
+        def residuals():
+            return (
+                st_residual_source(interp, pre.source),
+                st_residual_initial(interp, pre.initial),
             )
 
         def sweep(order, fresh=False):
-            shared = spec()
+            shared = residuals()
             return {
-                node: parabolic_walks(*node, spec() if fresh else shared, alpha, unit)
+                node: parabolic_walks(
+                    *node, *(residuals() if fresh else shared), alpha, unit
+                )
                 for node in order
             }
 

@@ -154,6 +154,23 @@ class TestResidualSource:
         xs = np.linspace(-0.95, 0.95, 21)
         assert np.max(np.abs(resid(xs))) < 1e-10
 
+    @pytest.mark.parametrize("make", [poly_preset, sin_source_preset])
+    def test_zero_iterate_leaves_the_source_bitwise(self, make):
+        # sweep 1 walks the residual of u_0 = 0, which must be f itself to
+        # the bit on a walk's (points x rule nodes) array
+        from fracsmc.basis import interpolate, make_grid
+        from fracsmc.walks import occupation_rule
+
+        alpha = 0.9
+        pre = make(alpha)
+        grid = make_grid(alpha, 8)
+        interp = interpolate(grid, np.zeros(len(grid.nodes)))
+        nodes, _ = occupation_rule(alpha, 32)
+        x = np.random.default_rng(2).uniform(-0.99, 0.99, 40)
+        r = 1.0 - np.abs(x)
+        y = x[:, None] + r[:, None] * nodes
+        np.testing.assert_array_equal(residual_source(interp, pre.source)(y), pre.source(y))
+
 
 class TestContraction:
     def test_ratio_below_one_for_converging_run(self):

@@ -18,7 +18,6 @@ from fracsmc.walks import (
     POISSON_STEP_CAP,
     BallGeometry,
     CappedWalkError,
-    PathFunctionalSpec,
     WalkBatch,
     expected_exit_coeff,
     fixed_radius,
@@ -202,44 +201,32 @@ class TestOccupationRule:
 class TestPoissonWalk:
     @pytest.mark.parametrize("alpha", [0.6, 1.4, 2.0])
     def test_feynman_kac_occupation_mean(self, alpha):
-        # f == 1, g == 0: the estimator mean is the expected exit time
-        spec = PathFunctionalSpec(
-            source=lambda x: np.ones_like(x), exterior=lambda x: np.zeros_like(x)
+        # f == 1 and zero exterior data: the estimator mean is the expected
+        # exit time
+        batch = poisson_walks(
+            0.5, lambda x: np.ones_like(x), alpha, RngStream(11), 30_000
         )
-        batch = poisson_walks(0.5, spec, alpha, RngStream(11), 30_000)
         want = zeta_closed(0.5, 1.0, alpha)
         se = batch.scores.std() / np.sqrt(len(batch.scores))
         assert batch.mean_score() == pytest.approx(want, abs=3 * se)
 
     def test_source_draws_no_random_numbers(self):
         # the source term is a fixed rule, so the paths do not depend on it
-        g = lambda x: np.zeros_like(x)
-        a = poisson_walks(0.3, PathFunctionalSpec(source=None, exterior=g),
-                          0.8, RngStream(3), 2_000)
-        b = poisson_walks(0.3, PathFunctionalSpec(source=np.cos, exterior=g),
-                          0.8, RngStream(3), 2_000)
-        np.testing.assert_array_equal(a.exit_points, b.exit_points)
+        a = poisson_walks(0.3, lambda x: np.zeros_like(x), 0.8, RngStream(3), 2_000)
+        b = poisson_walks(0.3, np.cos, 0.8, RngStream(3), 2_000)
+        np.testing.assert_array_equal(a.steps, b.steps)
+        np.testing.assert_array_equal(a.scores, 0.0)
         assert np.all(b.scores > 0)
 
-    def test_exterior_only_walk_scores_g_at_exit(self):
-        g = lambda x: np.abs(x)
-        spec = PathFunctionalSpec(source=None, exterior=g)
-        batch = poisson_walks(0.0, spec, 1.2, RngStream(4), 5_000)
-        np.testing.assert_allclose(batch.scores, np.abs(batch.exit_points))
-        assert np.all(np.abs(batch.exit_points) >= 1.0)
-
     def test_start_outside_domain_rejected(self):
-        spec = PathFunctionalSpec(source=None, exterior=lambda x: np.zeros_like(x))
         with pytest.raises(DomainError):
-            poisson_walks(1.0, spec, 0.8, RngStream(0), 10)
+            poisson_walks(1.0, lambda x: np.zeros_like(x), 0.8, RngStream(0), 10)
 
     def test_mean_score_of_an_all_capped_batch_raises(self):
         n = 4
         batch = WalkBatch(
             scores=np.ones(n),
             steps=np.full(n, POISSON_STEP_CAP),
-            exit_points=np.full(n, np.nan),
-            exited=np.zeros(n, dtype=bool),
             capped=np.ones(n, dtype=bool),
         )
         with pytest.raises(CappedWalkError, match="step cap"):
@@ -248,24 +235,33 @@ class TestPoissonWalk:
         assert batch.mean_score() == 1.0
 
 
+def zero_source(x, t):
+    return np.zeros_like(x)
+
+
+def zero_initial(x):
+    return np.zeros_like(x)
+
+
 class TestParabolicWalk:
     def test_constant_payoff_is_exact(self):
-        # u0 == 1, g == 1, f == 0: every path scores exactly 1
-        spec = PathFunctionalSpec(
-            source=None,
-            exterior=lambda x, t: np.ones_like(x),
-            initial=lambda x: np.ones_like(x),
+        # u0 == 1, f == 0: a path scores 1 if it stays inside for all
+        # n_sub jumps, and 0 otherwise
+        n_sub = 32
+        unit = unit_walk(RngStream(5), 0.9, 2_000, n_sub)
+        batch = parabolic_walks(
+            0.3, 0.25, zero_source, lambda x: np.ones_like(x), 0.9, unit
         )
-        unit = unit_walk(RngStream(5), 0.9, 2_000, 32)
-        batch = parabolic_walks(0.3, 0.25, spec, 0.9, unit)
-        np.testing.assert_allclose(batch.scores, 1.0)
+        np.testing.assert_array_equal(batch.scores, batch.steps == n_sub)
+        assert 0 < batch.scores.sum() < len(batch.scores)
 
     def test_unit_source_scores_occupation_time(self):
         # f == 1: the trapezoid of 1 equals L * dt exactly
         t_n, n_sub = 0.4, 16
-        spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
         unit = unit_walk(RngStream(6), 1.1, 2_000, n_sub)
-        batch = parabolic_walks(0.0, t_n, spec, 1.1, unit)
+        batch = parabolic_walks(
+            0.0, t_n, lambda x, t: np.ones_like(x), zero_initial, 1.1, unit
+        )
         dt = t_n / n_sub
         np.testing.assert_allclose(batch.scores, batch.steps * dt, atol=1e-14)
 
@@ -280,27 +276,23 @@ class TestParabolicWalk:
             return np.cos(t)
 
         unit = unit_walk(RngStream(4), 0.9, n, n_sub)
-        a = parabolic_walks(0.1, 0.4, PathFunctionalSpec(source=time_only), 0.9, unit)
-        b = parabolic_walks(0.1, 0.4,
-                            PathFunctionalSpec(source=lambda x, t: np.cos(t) + 0 * x),
+        a = parabolic_walks(0.1, 0.4, time_only, zero_initial, 0.9, unit)
+        b = parabolic_walks(0.1, 0.4, lambda x, t: np.cos(t) + 0 * x, zero_initial,
                             0.9, unit)
         assert seen == [((n, n_sub + 1), (1, n_sub + 1))]
         np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_never_exited_paths_use_full_horizon(self):
-        spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
+        # u0 == 1, f == 0: the paths that score the initial data are the
+        # ones that stayed inside, and they took all 8 steps
         unit = unit_walk(RngStream(9), 0.5, 4_000, 8)
-        batch = parabolic_walks(0.0, 0.2, spec, 0.5, unit)
-        assert np.all(batch.steps[~batch.exited] == 8)
-
-    def test_exit_points_of_exited_paths_are_outside(self):
-        spec = PathFunctionalSpec(
-            source=None, exterior=lambda x, t: np.zeros_like(x)
+        batch = parabolic_walks(
+            0.0, 0.2, zero_source, lambda x: np.ones_like(x), 0.5, unit
         )
-        unit = unit_walk(RngStream(10), 1.6, 4_000, 64)
-        batch = parabolic_walks(0.8, 0.5, spec, 1.6, unit)
-        assert batch.exited.any()
-        assert np.all(np.abs(batch.exit_points[batch.exited]) >= 1.0)
+        stayed = batch.scores == 1.0
+        assert stayed.any() and (~stayed).any()
+        assert np.all(batch.steps[stayed] == 8)
+        assert np.all(batch.steps[~stayed] < 8)
 
     def test_block_draw_equals_stepping_the_same_draws(self):
         # unit_walk draws all unit jumps, then all signs, and sums them in
@@ -309,24 +301,27 @@ class TestParabolicWalk:
         # x = x0 + r c_ell, must agree exactly: the additions happen in the
         # same order
         alpha, t_n, n_sub, n, x0 = 0.7, 0.3, 16, 500, 0.2
-        spec = PathFunctionalSpec(initial=lambda x: x, exterior=lambda x, t: x)
         unit = unit_walk(RngStream(8), alpha, n, n_sub)
-        batch = parabolic_walks(x0, t_n, spec, alpha, unit)
+        batch = parabolic_walks(x0, t_n, zero_source, lambda x: x, alpha, unit)
         rng = RngStream(8).generator()
         jumps = sample_jump(rng, alpha, (n, n_sub))
         signs = sample_direction_1d(rng, size=(n, n_sub))
         r = fixed_radius(t_n / n_sub, alpha)
         c = np.zeros(n)
-        stop = np.full(n, np.nan)
+        # last in-domain index: the step before the first one outside
+        last = np.full(n, n_sub)
         for ell in range(n_sub):
             c = c + jumps[:, ell] * signs[:, ell]
             np.testing.assert_array_equal(unit[:, ell + 1], c)
             x = x0 + r * c
-            first = np.isnan(stop) & (np.abs(x) >= 1.0)
-            stop[first] = x[first]
-        stop = np.where(np.isnan(stop), x, stop)
-        np.testing.assert_array_equal(batch.exit_points, stop)
-        np.testing.assert_array_equal(batch.exited, np.abs(stop) >= 1.0)
+            first = (last == n_sub) & (np.abs(x) >= 1.0)
+            last[first] = ell
+        np.testing.assert_array_equal(batch.steps, last)
+        # f == 0 and u0(x) = x: a path that never leaves scores its final
+        # position, and one that leaves scores 0
+        stayed = last == n_sub
+        assert stayed.any() and (~stayed).any()
+        np.testing.assert_array_equal(batch.scores, np.where(stayed, x, 0.0))
 
     def test_unit_walk_at_alpha_2_is_a_sign_walk(self):
         # every jump has length 1 at alpha = 2: the sums are integers that
@@ -342,9 +337,10 @@ class TestParabolicWalk:
         from fracsmc.oracles import euler_stable_exit
 
         alpha, t_n = 1.4, 0.3
-        spec = PathFunctionalSpec(source=lambda x, t: np.ones_like(x))
         unit = unit_walk(RngStream(13), alpha, 30_000, 256)
-        batch = parabolic_walks(0.0, t_n, spec, alpha, unit)
+        batch = parabolic_walks(
+            0.0, t_n, lambda x, t: np.ones_like(x), zero_initial, alpha, unit
+        )
         rng = np.random.default_rng(14)
         dt = 2e-4
         loc, steps, capped = euler_stable_exit(0.0, 1.0, alpha, dt, rng, 20_000)
