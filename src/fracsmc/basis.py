@@ -22,6 +22,7 @@ from .specfun import (
     gamma_norm,
     jacobi_eval_all,
     jacobi_gauss,
+    jacobi_series,
     legendre_gauss_shifted,
 )
 
@@ -64,6 +65,7 @@ class GjfGrid:
     N_x: int
     rule: QuadratureRule = field(repr=False)
     c_matrix: np.ndarray = field(repr=False)  # (N_x+1, N_x+1), c[n, j]
+    bary_weights: np.ndarray = field(repr=False)  # barycentric weights of the nodes
 
     @property
     def nodes(self) -> np.ndarray:
@@ -83,23 +85,16 @@ def make_grid(alpha: float, N_x: int) -> GjfGrid:
     P = jacobi_eval_all(N_x, idx, x)  # (n, j)
     gam = np.array([gamma_norm(n, idx) for n in range(N_x + 1)])
     c = (P * (1 - x * x) ** (-alpha / 2) * rule.weights) / gam[:, None]
-    return GjfGrid(alpha=alpha, N_x=N_x, rule=rule, c_matrix=c)
+    bw = np.array([1.0 / np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
+    return GjfGrid(alpha=alpha, N_x=N_x, rule=rule, c_matrix=c, bary_weights=bw)
 
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.ones_like(nodes)
-    for j in range(len(nodes)):
-        w[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
-    return w
-
-
-def lagrange_cardinal(nodes: np.ndarray, x) -> np.ndarray:
+def lagrange_cardinal(nodes: np.ndarray, bw: np.ndarray, x) -> np.ndarray:
     """Polynomial Lagrange cardinal functions h_j(x); shape (len(nodes),) + x.shape.
 
-    Barycentric form; exact cardinality at the nodes.
+    Barycentric form with the nodes' weights bw; exact cardinality at the nodes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    bw = _barycentric_weights(nodes)
     diff = x[None, :] - nodes[:, None]  # (j, x)
     hit = np.abs(diff) < 1e-300
     anyhit = hit.any(axis=0)
@@ -144,7 +139,7 @@ def eval_interpolant(f: Interpolant1D, x):
     # nodes, where the modal series w * sum_n modal_n P_n is off by ~1e-15
     # at N_x = 2 and ~2e-13 at N_x = 64 for unit-size node values.  Swapped
     # in, the series moves every e_inf row of a poisson_u1 report.
-    h = lagrange_cardinal(grid.nodes, flat)  # (j, x)
+    h = lagrange_cardinal(grid.nodes, grid.bary_weights, flat)  # (j, x)
     one_m = 1.0 - flat * flat
     ratio = np.where(
         one_m[None, :] > 0,
@@ -167,10 +162,8 @@ def frac_laplacian_modal(f: Interpolant1D) -> np.ndarray:
 def eval_jacobi_series(coeffs: np.ndarray, alpha: float, x):
     """Evaluate sum_n coeffs[n] P_n^(alpha/2,alpha/2)(x), any input shape."""
     x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).ravel()
-    P = jacobi_eval_all(len(coeffs) - 1, JacobiIndex(alpha / 2, alpha / 2), flat)
-    out = np.einsum("n,nx->x", coeffs, P)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    out = jacobi_series(coeffs, JacobiIndex(alpha / 2, alpha / 2), x)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 @dataclass(frozen=True)

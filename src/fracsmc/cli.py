@@ -257,7 +257,7 @@ def _suite_walk(failures: list, seed: int) -> None:
 
     for alpha in (0.6, 1.4, 2.0):
         batch = walks.poisson_walks(
-            0.5, lambda x: np.ones_like(x), alpha, RngStream(seed), 20000
+            [0.5], lambda x: np.ones_like(x), alpha, [RngStream(seed)], 20000
         )
         want = (1 - 0.25) ** (alpha / 2) / gamma_fn(1 + alpha)
         m = batch.mean_score()

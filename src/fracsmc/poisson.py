@@ -2,12 +2,13 @@
 
 The solvers take zero exterior data.  The iterate starts at zero, and
 every sweep interpolates the current iterate u_k, forms the residual
-source f - (-Delta)^(alpha/2) u_k through the diagonal modal map, runs
-fresh walks against that residual at the interpolation nodes and adds
-their mean to u_k; sweep 1, from u_0 = 0, is the plain Monte Carlo
-estimate of the solution.  With exact arithmetic each sweep multiplies
-the error by an interpolation-type contraction factor, so a handful of
-sweeps with a small walk budget reaches noise-free accuracy.
+source f - (-Delta)^(alpha/2) u_k through the diagonal modal map, walks
+it afresh from all interpolation nodes in one kernel call (node j on
+stream (seed, k, j)) and adds each node's mean to u_k; sweep 1, from
+u_0 = 0, is the plain Monte Carlo estimate of the solution.  With exact
+arithmetic each sweep multiplies the error by an interpolation-type
+contraction factor, so a handful of sweeps with a small walk budget
+reaches noise-free accuracy.
 `run_sweeps` is that loop; the space-time solver drives it too, and both
 return its `Solution`.
 
@@ -38,7 +39,7 @@ from .basis import (
     make_grid,
 )
 from .rng import RngStream
-from .walks import OCCUPATION_NODES, poisson_walks
+from .walks import OCCUPATION_NODES, WalkBatch, poisson_walks
 
 # The stall rule.  max_update / se is 12-90 while the error contracts at
 # M = 50-100 walks and mostly 0.4-3.7 once it sits at the floor; at M = 10
@@ -232,13 +233,10 @@ def smc_solve(
 
     def walk(interp, stream):
         resid = residual_source(interp, source)
-        return [
-            poisson_walks(
-                float(x), resid, cfg.alpha, stream.child(j), cfg.n_walks,
-                cfg.inner_samples,
-            )
-            for j, x in enumerate(nodes)
-        ]
+        streams = [stream.child(j) for j in range(len(nodes))]
+        batch = poisson_walks(nodes, resid, cfg.alpha, streams, cfg.n_walks, cfg.inner_samples)
+        rows = (a.reshape(len(nodes), -1) for a in (batch.scores, batch.steps, batch.capped))
+        return [WalkBatch(*node) for node in zip(*rows)]
 
     return run_sweeps(
         cfg,

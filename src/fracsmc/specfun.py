@@ -43,27 +43,49 @@ class QuadratureRule:
 
 def jacobi_eval_all(n_max: int, index: JacobiIndex, x) -> np.ndarray:
     """All Jacobi polynomials P_0..P_n_max at x; shape (n_max+1,) + x.shape."""
-    a, b = index.a, index.b
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = 0.5 * ((a + b + 2) * x + (a - b))
-    # P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, computed in its own row with
-    # the operations in that order; one scratch row replaces the temporaries
+        out[1] = 0.5 * ((index.a + index.b + 2) * x + (index.a - index.b))
     scratch = np.empty(x.shape)
     for k in range(1, n_max):
-        s = 2 * k + a + b
-        a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
-        a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
-        a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
-        row = out[k + 1]
-        np.multiply(x, a1, out=row)
-        row += a2
-        row *= out[k]
-        np.multiply(out[k - 1], a3, out=scratch)
-        row -= scratch
+        _jacobi_step(k, index, x, out[k - 1], out[k], out[k + 1], scratch)
     return out
+
+
+def jacobi_series(coeffs: np.ndarray, index: JacobiIndex, x) -> np.ndarray:
+    """sum_n coeffs[n] P_n(x) over n < len(coeffs); the shape of x, at least 1-d.
+
+    The jacobi_eval_all recurrence with two rows kept, adding the terms in
+    degree order: at two or more points, einsum of coeffs with the table
+    bit for bit.  (At one point einsum takes a vectorized dot product.)
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.full(x.shape, 0.0 + coeffs[0])  # einsum's sum starts at 0.0
+    prev, cur = jacobi_eval_all(1, index, x)
+    scratch = np.empty(x.shape)
+    for k in range(1, len(coeffs)):
+        if k > 1:  # P_k overwrites P_{k-2}'s row
+            _jacobi_step(k - 1, index, x, prev, cur, prev, scratch)
+            prev, cur = cur, prev
+        np.multiply(cur, coeffs[k], out=scratch)
+        out += scratch
+    return out
+
+
+def _jacobi_step(k, index, x, prev, cur, out, scratch) -> None:
+    """P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, in that order, into out (may be prev)."""
+    a, b = index.a, index.b
+    s = 2 * k + a + b
+    a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
+    a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
+    a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
+    np.multiply(prev, a3, out=scratch)
+    np.multiply(x, a1, out=out)
+    out += a2
+    out *= cur
+    out -= scratch
 
 
 def gamma_norm(n: int, index: JacobiIndex) -> float:

@@ -3,8 +3,10 @@
 Walk-on-spheres for the fractional Poisson problem (inscribed balls, exact
 ball-exit jump law, occupation-weighted source term) and the fixed-radius
 walk for the parabolic problem with a trapezoid source functional along
-the path.  parabolic_walks draws nothing: it walks a unit_walk block, which
-all nodes of a sweep share (correlated noise, each node still unbiased).
+the path.  poisson_walks steps the paths of many start points in one loop
+(a steady sweep makes one call), each start drawing from its own stream.
+parabolic_walks draws nothing: it walks a unit_walk block, which all
+nodes of a sweep share (correlated noise, each node still unbiased).
 
 The exterior data are zero: a path scores nothing where it leaves (-1, 1).
 Each kernel takes the numpy-vectorized functions it scores, the source
@@ -19,11 +21,11 @@ it by a Gauss rule (occupation_rule) and draws no random numbers for it.
 Jump law: the ball-exit distance of the symmetric stable process started
 at the ball center is exactly J = r W^(-1/2) with W ~ Beta(a/2, 1-a/2)
 (Blumenthal-Getoor-Ray); poisson_walks and unit_walk draw it with
-Generator.beta (sample_jump), and parabolic_walks draws nothing.
-sample_jump_scaled is the reference inversion of the same law through
-the inverse incomplete Beta, kept with a "verbatim" variant (the
-complete Beta in place of the 1) for the Euler-exit comparison in
-oracles.jump_law_ks, which the verbatim form fails: it produces J < r.
+Generator.beta (sample_jump).  sample_jump_scaled is the reference
+inversion of the same law through the inverse incomplete Beta, kept with
+a "verbatim" variant (the complete Beta in place of the 1) for the
+Euler-exit comparison in oracles.jump_law_ks, which the verbatim form
+fails: it produces J < r.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as sp
@@ -69,7 +71,7 @@ class BallGeometry:
 
 @dataclass
 class WalkBatch:
-    """Vectorized outcomes for a block of paths sharing one start point."""
+    """Vectorized outcomes for a block of paths (start-major for several starts)."""
 
     scores: np.ndarray
     steps: np.ndarray
@@ -229,49 +231,64 @@ def sample_interior(
 
 
 def poisson_walks(
-    x0: float,
+    starts,
     source: Callable,
     alpha: float,
-    stream: RngStream,
+    streams: Sequence[RngStream],
     n_paths: int,
     n_rule: int = OCCUPATION_NODES,
 ) -> WalkBatch:
-    """Simulate n_paths walk-on-spheres paths from x0, vectorized per step.
+    """n_paths walk-on-spheres paths from each start, all stepped in one loop.
 
     Score per path: the occupation-weighted averages of `source` over the
     visited balls, each by the n_rule-point occupation_rule (exact to
     degree 2 n_rule - 1); `source` maps an array of points to values of
-    the same shape.
+    the same shape.  Start j draws from streams[j] alone (each step the
+    jumps, then the signs of its active paths), so its paths are those of
+    a call from it alone.  The WalkBatch is start-major: start j owns
+    entries j*n_paths to (j+1)*n_paths - 1.
     """
-    if not -1 < x0 < 1:
-        raise DomainError("start point must lie in (-1, 1)")
+    x0 = np.asarray(starts, dtype=float)
+    if x0.shape != (len(streams),):
+        raise ValueError(f"poisson_walks: {x0.size} starts but {len(streams)} streams")
+    if not np.all(np.abs(x0) < 1):
+        raise DomainError("start points must lie in (-1, 1)")
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    rng = stream.generator()
+    rngs = [stream.generator() for stream in streams]
     nodes, weights = occupation_rule(alpha, n_rule)
 
-    pos = np.full(n_paths, float(x0))
-    scores = np.zeros(n_paths)
-    steps = np.zeros(n_paths, dtype=np.int64)
-    active = np.ones(n_paths, dtype=bool)
+    pos = np.repeat(x0, n_paths)
+    scores = np.zeros(len(pos))
+    steps = np.zeros(len(pos), dtype=np.int64)
+    active = np.ones(len(pos), dtype=bool)
     gamma1a = sp.gamma(1 + alpha)
 
     n_steps = 0
     while active.any() and n_steps < POISSON_STEP_CAP:
         n_steps += 1
         idx = np.nonzero(active)[0]
+        ends = np.cumsum(np.count_nonzero(active.reshape(len(rngs), n_paths), axis=1))
         x = pos[idx]
         r = 1.0 - np.abs(x)
         # source term: occupation weight times the mean of f under the
         # occupation law of the ball, by the Gauss rule for that law
-        y = x[:, None] + r[:, None] * nodes
-        scores[idx] += (r**alpha / gamma1a) * (source(y) @ weights)
+        fv = source(x[:, None] + r[:, None] * nodes)
+        occ, jump, sign = np.empty((3, len(idx)))
+        lo = 0
+        for rng, hi in zip(rngs, ends):
+            if hi > lo:
+                # the rule's dot product one start at a time: OpenBLAS's
+                # result for a row depends on where the row sits in the matrix
+                occ[lo:hi] = fv[lo:hi] @ weights
+                if alpha != 2:
+                    jump[lo:hi] = sample_jump(rng, alpha, hi - lo)
+                sign[lo:hi] = sample_direction_1d(rng, size=hi - lo)
+            lo = hi
+        del fv
+        scores[idx] += (r**alpha / gamma1a) * occ
         # ball exit
-        if alpha == 2:
-            jump = r
-        else:
-            jump = r * sample_jump(rng, alpha, len(idx))
-        new = x + jump * sample_direction_1d(rng, size=len(idx))
+        new = x + (r if alpha == 2 else r * jump) * sign
         pos[idx] = new
         steps[idx] += 1
         active[idx[np.abs(new) >= 1.0]] = False

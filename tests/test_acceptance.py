@@ -63,7 +63,7 @@ def test_criterion_03_feynman_kac_mean():
     ok = True
     for alpha in (0.6, 1.4, 2.0):
         for x in (0.0, 0.5, -0.5):
-            batch = walks.poisson_walks(x, source, alpha, RngStream(42), 100_000)
+            batch = walks.poisson_walks([x], source, alpha, [RngStream(42)], 100_000)
             want = (1 - x * x) ** (alpha / 2) / gamma_fn(1 + alpha)
             se = batch.scores.std() / np.sqrt(len(batch.scores))
             diff = abs(batch.mean_score() - want)

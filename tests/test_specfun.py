@@ -11,6 +11,7 @@ from fracsmc.specfun import (
     JacobiIndex,
     jacobi_eval_all,
     jacobi_gauss,
+    jacobi_series,
     legendre_gauss_shifted,
 )
 
@@ -50,6 +51,30 @@ class TestJacobi:
             want.append((a1 * x + a2) * want[k] - a3 * want[k - 1])
         for n in (0, 1, 2, 7, n_max):
             np.testing.assert_array_equal(jacobi_eval_all(n, idx, x), np.array(want[: n + 1]))
+
+
+class TestJacobiSeries:
+    @pytest.mark.parametrize("idx", INDICES + [JacobiIndex(0.0, 0.0), JacobiIndex(1.0, 1.0)])
+    def test_equals_einsum_of_the_table_bitwise(self, idx):
+        rng = np.random.default_rng(3)
+        for n in range(13):
+            coeffs = rng.normal(size=n + 1) * 10.0 ** rng.integers(-4, 4, n + 1)
+            for size in (2, 3, 33, 1000, 8193, 40_000):
+                x = rng.uniform(-1, 1, size)
+                want = np.einsum("n,nx->x", coeffs, jacobi_eval_all(n, idx, x))
+                np.testing.assert_array_equal(jacobi_series(coeffs, idx, x), want)
+
+    def test_a_point_does_not_depend_on_the_others(self):
+        # at one point einsum reduces by a vectorized dot product, so the
+        # single-point case is checked against the same point in a batch
+        rng = np.random.default_rng(4)
+        idx = JacobiIndex(0.7, 0.7)
+        for n in range(13):
+            coeffs = rng.normal(size=n + 1)
+            x = rng.uniform(-1, 1, 64)
+            batch = jacobi_series(coeffs, idx, x)
+            for i in (0, 17, 63):
+                np.testing.assert_array_equal(jacobi_series(coeffs, idx, x[i : i + 1]), batch[i])
 
 
 class TestJacobiGauss:

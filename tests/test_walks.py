@@ -10,11 +10,15 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
+from fracsmc.basis import interpolate, make_grid
 from fracsmc.oracles import greens_q, occupation_zeta
+from fracsmc.poisson import residual_source
+from fracsmc.presets import poly_preset, sin_source_preset
 from fracsmc.rng import RngStream
 from fracsmc.specfun import DomainError
 from fracsmc.walks import (
     JUMP_LAW_VERBATIM,
+    OCCUPATION_NODES,
     POISSON_STEP_CAP,
     BallGeometry,
     CappedWalkError,
@@ -204,7 +208,7 @@ class TestPoissonWalk:
         # f == 1 and zero exterior data: the estimator mean is the expected
         # exit time
         batch = poisson_walks(
-            0.5, lambda x: np.ones_like(x), alpha, RngStream(11), 30_000
+            [0.5], lambda x: np.ones_like(x), alpha, [RngStream(11)], 30_000
         )
         want = zeta_closed(0.5, 1.0, alpha)
         se = batch.scores.std() / np.sqrt(len(batch.scores))
@@ -212,15 +216,50 @@ class TestPoissonWalk:
 
     def test_source_draws_no_random_numbers(self):
         # the source term is a fixed rule, so the paths do not depend on it
-        a = poisson_walks(0.3, lambda x: np.zeros_like(x), 0.8, RngStream(3), 2_000)
-        b = poisson_walks(0.3, np.cos, 0.8, RngStream(3), 2_000)
+        a = poisson_walks([0.3], lambda x: np.zeros_like(x), 0.8, [RngStream(3)], 2_000)
+        b = poisson_walks([0.3], np.cos, 0.8, [RngStream(3)], 2_000)
         np.testing.assert_array_equal(a.steps, b.steps)
         np.testing.assert_array_equal(a.scores, 0.0)
         assert np.all(b.scores > 0)
 
+    @pytest.mark.parametrize("preset", [poly_preset, sin_source_preset])
+    @pytest.mark.parametrize("alpha", [0.4, 1.2, 2.0])
+    def test_one_call_equals_one_start_calls_bitwise(self, preset, alpha):
+        # the residual of a nonzero iterate, from the nodes and from starts
+        # near +-1, whose paths end several steps apart from the others'
+        grid = make_grid(alpha, 6)
+        interp = interpolate(grid, np.cos(3 * grid.nodes))
+        resid = residual_source(interp, preset(alpha).source)
+        starts = np.concatenate([[-0.999], grid.nodes, [0.98]])
+        streams = [RngStream(9, (4, j)) for j in range(len(starts))]
+        n_paths = 150
+        for n_rule in (OCCUPATION_NODES, 5):
+            batch = poisson_walks(starts, resid, alpha, streams, n_paths, n_rule)
+            steps = batch.steps.reshape(len(starts), n_paths)
+            assert steps.max() - steps.max(axis=1).min() >= 3
+            for j, (x, stream) in enumerate(zip(starts, streams)):
+                one = poisson_walks([x], resid, alpha, [stream], n_paths, n_rule)
+                rows = slice(j * n_paths, (j + 1) * n_paths)
+                np.testing.assert_array_equal(batch.scores[rows], one.scores)
+                np.testing.assert_array_equal(batch.steps[rows], one.steps)
+                np.testing.assert_array_equal(batch.capped[rows], one.capped)
+
+    def test_batch_holds_every_path_of_every_start(self):
+        batch = poisson_walks(
+            [-0.5, 0.0, 0.7], np.cos, 1.1, [RngStream(2, (j,)) for j in range(3)], 40
+        )
+        assert len(batch.scores) == len(batch.steps) == len(batch.capped) == 3 * 40
+
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_one_stream_per_start_is_required(self, n_streams):
+        streams = [RngStream(0, (j,)) for j in range(n_streams)]
+        with pytest.raises(ValueError, match="starts but") as err:
+            poisson_walks([0.1, 0.2], np.cos, 0.8, streams, 10)
+        assert "\n" not in str(err.value)
+
     def test_start_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            poisson_walks(1.0, lambda x: np.zeros_like(x), 0.8, RngStream(0), 10)
+            poisson_walks([1.0], lambda x: np.zeros_like(x), 0.8, [RngStream(0)], 10)
 
     def test_mean_score_of_an_all_capped_batch_raises(self):
         n = 4
