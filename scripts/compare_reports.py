@@ -12,7 +12,8 @@ the report file and stdout are byte-identical (and the exit codes equal);
 the script exits 1 on any difference.  For a report that differs, one
 more line per numeric column gives the largest absolute and relative
 difference over the rows both sides wrote, so a move at round-off reads
-as one.  The checkouts are only read.
+as one.  The last line gives the line count of each checkout's
+src/fracsmc/*.py, as `wc -l` counts them.  The checkouts are only read.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def column_differences(parent: bytes, change: bytes) -> list[str]:
     return out
 
 
+def source_lines(checkout: Path) -> int:
+    """Newline count of the checkout's src/fracsmc/*.py files."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "fracsmc").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -127,6 +134,8 @@ def main(argv=None) -> int:
             for line in column_differences(parent[2], change[2]):
                 print(f"    {line}")
     print(f"{differences} of {len(jobs)} runs differ")
+    print(f"src/fracsmc/*.py lines: {source_lines(parent_dir)} | "
+          f"{source_lines(change_dir)} (parent | change)")
     return 1 if differences else 0
 
 

@@ -227,7 +227,6 @@ class SpaceTimeInterpolant:
 
     grid: GjfGrid
     tgrid: TimeGrid
-    values: np.ndarray  # (N_x+1, N_t+1)
     modal: np.ndarray = field(repr=False)  # (N_x+1, N_t+1), u_hat[p, q]
 
     def __call__(self, x, t):
@@ -242,7 +241,7 @@ def st_interpolate(grid: GjfGrid, tgrid: TimeGrid, samples) -> SpaceTimeInterpol
             f"expected shape {(grid.N_x + 1, tgrid.N_t + 1)}, got {samples.shape}"
         )
     modal = grid.c_matrix @ samples @ tgrid.b_matrix.T
-    return SpaceTimeInterpolant(grid=grid, tgrid=tgrid, values=samples, modal=modal)
+    return SpaceTimeInterpolant(grid=grid, tgrid=tgrid, modal=modal)
 
 
 def eval_weighted_columns(alpha: float, weighted, plain, x):

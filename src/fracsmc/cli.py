@@ -397,6 +397,9 @@ def main(argv=None) -> int:
     except (specfun.DomainError, basis.ContractError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; lower n_x, n_t, m, m1 or n_sub", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,13 +9,12 @@ exit time walks.zeta_closed.  These referees are low-accuracy by design;
 they tie the spectral identities and the walk kernels to ground truth.
 They share with the solver the Jacobi recurrence, norms and Gauss rules
 of specfun, basis.frac_diag_factor and basis.WeightedSeries (the type of
-the Galerkin solution), and from walks BallGeometry,
-expected_exit_coeff and the reference jump inversion sample_jump_scaled
-(which the kernels do not call); the integral, Green's function, CMS and
-Euler code is their own.  No solver module imports this one.  The CLI
-imports it for its validate suites, so the referees import
-scipy.integrate and scipy.stats only when they run: a `fracsmc run`
-loads neither.
+the Galerkin solution), and from walks BallGeometry, zeta_closed and
+the reference jump inversion sample_jump_scaled (which the kernels do
+not call); the integral, Green's function, CMS and Euler code is their
+own.  No solver module imports this one.  The CLI imports it for its
+validate suites, so the referees import scipy.integrate and scipy.stats
+only when they run: a `fracsmc run` loads neither.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .walks import (
     JUMP_LAW_EXIT,
     JUMP_LAW_VERBATIM,
     BallGeometry,
-    expected_exit_coeff,
     sample_jump_scaled,
+    zeta_closed,
 )
 
 
@@ -235,7 +234,7 @@ def jump_law_ks(
     from scipy import stats
 
     rng = np.random.default_rng(seed)
-    dt = expected_exit_coeff(alpha) / euler_steps_per_exit
+    dt = zeta_closed(0.0, 1.0, alpha) / euler_steps_per_exit
     loc, _, capped = euler_stable_exit(0.0, 1.0, alpha, dt, rng, n_paths=n_euler)
     euler_disp = np.abs(loc[~capped])
     out = {"alpha": alpha, "dt": dt, "euler_capped": int(capped.sum())}

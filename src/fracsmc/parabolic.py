@@ -76,9 +76,12 @@ def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
     start in (-1, 1) a radius r >= 2 ends every path on its first jump.  A
     jump is at most r * MAX_UNIT_JUMP long, so below 2 / MAX_UNIT_JUMP (r
     underflows there as alpha -> 0) no path ever leaves.  Raises
-    DomainError (a ValueError) when r is outside that range or not finite.
+    DomainError (a ValueError) when dt underflows to 0 or r is not finite
+    or outside that range.
     """
     dt = final_time / n_sub
+    if not dt > 0:
+        raise DomainError(f"final_time/n_sub = {final_time:.3g}/{n_sub} underflows to 0")
     r = fixed_radius(dt, alpha)
     if not r < 2:
         raise DomainError(

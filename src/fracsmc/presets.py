@@ -63,10 +63,10 @@ def _modal_coefficients(alpha: float, smooth, degree: int) -> np.ndarray:
 def _series_pair(alpha: float, smooth, degree: int):
     """Solution (1-x^2)^(a/2) * smooth and its matched source."""
     modal = _modal_coefficients(alpha, smooth, degree)
-    lam = frac_diag_factor(np.arange(degree + 1), alpha)
+    source_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
 
     def f(x):
-        return eval_jacobi_series(modal * lam, alpha, x)
+        return eval_jacobi_series(source_modal, alpha, x)
 
     return WeightedSeries(alpha, modal), f
 
@@ -94,7 +94,7 @@ def sin_source_preset(alpha: float) -> SteadyPreset:
     lam = frac_diag_factor(np.arange(degree + 1), alpha)
     return SteadyPreset(
         solution=WeightedSeries(alpha, modal_f / lam),
-        source=lambda x: np.sin(x),
+        source=np.sin,
     )
 
 

@@ -20,12 +20,13 @@ it by a Gauss rule (occupation_rule) and draws no random numbers for it.
 
 Jump law: the ball-exit distance of the symmetric stable process started
 at the ball center is exactly J = r W^(-1/2) with W ~ Beta(a/2, 1-a/2)
-(Blumenthal-Getoor-Ray); poisson_walks and unit_walk draw it with
-Generator.beta (sample_jump).  sample_jump_scaled is the reference
-inversion of the same law through the inverse incomplete Beta, kept with
-a "verbatim" variant (the complete Beta in place of the 1) for the
-Euler-exit comparison in oracles.jump_law_ks, which the verbatim form
-fails: it produces J < r.
+(Blumenthal-Getoor-Ray) for a in (0, 2), and J = r, its limit, at a = 2;
+the mean exit time is r^a / Gamma(1+a) (zeta_closed) for all a in (0, 2].
+poisson_walks and unit_walk draw J with sample_jump.  sample_jump_scaled
+is the reference inversion of the same law through the inverse
+incomplete Beta, kept with a "verbatim" variant (the complete Beta in
+place of the 1) for the Euler-exit comparison in oracles.jump_law_ks,
+which the verbatim form fails: it produces J < r.
 """
 
 from __future__ import annotations
@@ -95,20 +96,12 @@ class WalkBatch:
         return math.sqrt(dev @ dev) / len(ok)
 
 
-def expected_exit_coeff(alpha: float) -> float:
-    """Constant relating ball radius to expected exit time: E[tau] = C r^alpha."""
-    return float(
-        sp.gamma(0.5)
-        / (2**alpha * sp.gamma(1 + alpha / 2) * sp.gamma((1 + alpha) / 2))
-    )
-
-
 def fixed_radius(dt: float, alpha: float) -> float:
-    """Ball radius whose expected stable exit time equals dt."""
+    """Ball radius whose mean exit time r^alpha / Gamma(1+alpha) equals dt."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     try:
-        r = (dt / expected_exit_coeff(alpha)) ** (1.0 / alpha)
+        r = (dt * float(sp.gamma(1 + alpha))) ** (1.0 / alpha)
     except OverflowError:
         r = math.inf
     if not math.isfinite(r):
@@ -129,15 +122,17 @@ def zeta_closed(offset, radius, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_jump(rng: np.random.Generator, alpha: float, size=None):
+def sample_jump(rng: np.random.Generator, alpha: float, size):
     """Exact ball-exit jump distance for unit radius: J = W^(-1/2).
 
     W ~ Beta(alpha/2, 1 - alpha/2); W is floored at _W_FLOOR, the smallest
     subnormal, so J stays finite (at most MAX_UNIT_JUMP) when W underflows
-    to 0 as alpha -> 0.
+    to 0 as alpha -> 0.  At alpha = 2, J = 1 and rng draws nothing.
     """
-    if not 0 < alpha < 2:
-        raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
+    if not 0 < alpha <= 2:
+        raise DomainError(f"jump sampling requires alpha in (0, 2], got {alpha}")
+    if alpha == 2:
+        return np.ones(size)
     w = rng.beta(alpha / 2, 1 - alpha / 2, size=size)
     return 1.0 / np.sqrt(np.maximum(w, _W_FLOOR))
 
@@ -281,14 +276,13 @@ def poisson_walks(
                 # the rule's dot product one start at a time: OpenBLAS's
                 # result for a row depends on where the row sits in the matrix
                 occ[lo:hi] = fv[lo:hi] @ weights
-                if alpha != 2:
-                    jump[lo:hi] = sample_jump(rng, alpha, hi - lo)
+                jump[lo:hi] = sample_jump(rng, alpha, hi - lo)
                 sign[lo:hi] = sample_direction_1d(rng, size=hi - lo)
             lo = hi
         del fv
         scores[idx] += (r**alpha / gamma1a) * occ
         # ball exit
-        new = x + (r if alpha == 2 else r * jump) * sign
+        new = x + r * jump * sign
         pos[idx] = new
         steps[idx] += 1
         active[idx[np.abs(new) >= 1.0]] = False
@@ -311,7 +305,7 @@ def unit_walk(stream: RngStream, alpha: float, n_paths: int, n_sub: int) -> np.n
     """
     rng = stream.generator()
     c = np.zeros((n_paths, n_sub + 1))
-    c[:, 1:] = 1.0 if alpha == 2 else sample_jump(rng, alpha, (n_paths, n_sub))
+    c[:, 1:] = sample_jump(rng, alpha, (n_paths, n_sub))
     c[:, 1:] *= sample_direction_1d(rng, size=(n_paths, n_sub))
     return np.cumsum(c, axis=1, out=c)
 

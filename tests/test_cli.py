@@ -289,6 +289,35 @@ class TestMainExitCodes:
         assert "no jump can leave" in err
         assert not out.exists()
 
+    def test_final_time_step_that_underflows_exits_2_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # t_final/n_sub underflows to 0 here; the run exited 2 with
+        # "dt must be positive", which names no config key
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "r.csv"
+        text = PARABOLIC.replace("t_final = 0.5", "t_final = 1e-323")
+        assert main(["run", self._write(tmp_path, text + f"out = {out}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_final/n_sub = ") and "underflows to 0" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # a config too large for memory (m1 = 100000000 made np.diag ask
+        # for 71.1 PiB) ended in a traceback; the solve is stubbed here, as
+        # a real such run allocates several 800 MB arrays before it fails
+        import fracsmc.cli as cli
+
+        def solve(*args, **kwargs):
+            raise MemoryError("Unable to allocate 71.1 PiB")
+
+        monkeypatch.setattr(cli, "smc_solve", solve)
+        out = tmp_path / "r.csv"
+        assert main(["run", self._write(tmp_path, GOOD + f"out = {out}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, key, field",
         [

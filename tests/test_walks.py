@@ -23,7 +23,6 @@ from fracsmc.walks import (
     BallGeometry,
     CappedWalkError,
     WalkBatch,
-    expected_exit_coeff,
     fixed_radius,
     occupation_rule,
     parabolic_walks,
@@ -100,10 +99,20 @@ class TestBetaJumpSampler:
         J = sample_jump(np.random.default_rng(24), 1e-3, self.N)
         assert np.all(np.isfinite(J)) and np.all(J >= 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0000000000000004, np.nan])
     def test_rejects_alpha_outside_open_interval(self, alpha):
         with pytest.raises(DomainError):
             sample_jump(np.random.default_rng(0), alpha, 4)
+
+    def test_alpha_2_is_unit_jumps_without_a_draw(self):
+        # Brownian motion leaves a ball through its sphere: J = 1, and the
+        # generator is not advanced
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        J = sample_jump(rng, 2.0, (3, 5))
+        assert J.shape == (3, 5)
+        np.testing.assert_array_equal(J, 1.0)
+        assert rng.bit_generator.state == before
 
 
 class TestOccupation:
@@ -118,13 +127,13 @@ class TestOccupation:
     def test_center_value_is_radius_power(self):
         alpha, r = 0.9, 0.35
         assert zeta_closed(0.0, r, alpha) == pytest.approx(
-            expected_exit_coeff(alpha) * r**alpha, rel=1e-12
+            r**alpha / sp.gamma(1 + alpha), rel=1e-12
         )
 
     def test_fixed_radius_inverts_exit_coeff(self):
         alpha, dt = 1.3, 1e-3
         r = fixed_radius(dt, alpha)
-        assert expected_exit_coeff(alpha) * r**alpha == pytest.approx(dt, rel=1e-12)
+        assert zeta_closed(0.0, r, alpha) == pytest.approx(dt, rel=1e-12)
 
     @pytest.mark.parametrize("dt", [1e200, np.inf, np.nan])
     def test_fixed_radius_that_is_not_finite_is_a_domain_error(self, dt):
@@ -243,6 +252,25 @@ class TestPoissonWalk:
                 np.testing.assert_array_equal(batch.scores[rows], one.scores)
                 np.testing.assert_array_equal(batch.steps[rows], one.steps)
                 np.testing.assert_array_equal(batch.capped[rows], one.capped)
+
+    def test_alpha_2_step_replays_bitwise(self):
+        # at alpha = 2 a path steps to x + (1 - |x|) s, s a sign drawn from
+        # the start's stream, and leaves once |x| >= 1; f == 0, so the
+        # steps are all the batch tells apart
+        n = 500
+        batch = poisson_walks([0.3], lambda x: np.zeros_like(x), 2.0, [RngStream(5)], n)
+        rng = RngStream(5).generator()
+        x = np.full(n, 0.3)
+        steps = np.zeros(n, dtype=np.int64)
+        active = np.ones(n, dtype=bool)
+        while active.any():
+            idx = np.nonzero(active)[0]
+            x[idx] = x[idx] + (1.0 - np.abs(x[idx])) * sample_direction_1d(rng, len(idx))
+            steps[idx] += 1
+            active[idx[np.abs(x[idx]) >= 1.0]] = False
+        assert steps.max() > steps.min()
+        np.testing.assert_array_equal(batch.steps, steps)
+        assert not batch.capped.any()
 
     def test_batch_holds_every_path_of_every_start(self):
         batch = poisson_walks(
