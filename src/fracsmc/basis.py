@@ -9,6 +9,7 @@ basis, the time derivative triangularly on the Legendre basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from .specfun import (
     jacobi_eval_all,
     jacobi_gauss,
     jacobi_series,
+    jacobi_value,
     legendre_gauss_shifted,
 )
 
@@ -41,13 +43,20 @@ def gjf_eval(n: int, alpha: float, x):
     """Singular basis function (1-x^2)^(alpha/2) P_n^(alpha/2,alpha/2)(x).
 
     Vanishes at x = +-1 by construction (the weight is defined as 0 there).
+    A scalar x gives a float, computed in Python floats: the quadrature
+    referees call this once per point.  It equals the array path bit for
+    bit, since a 0-d singular_weight also takes libm's pow.
     """
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
+    idx = JacobiIndex(alpha / 2, alpha / 2)
+    if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim makes an array of a float
+        x = float(x)
+        one_m = 1.0 - x * x
+        w = math.pow(one_m, alpha / 2) if one_m > 0 else 0.0
+        return w * jacobi_value(n, idx, x)
     x = np.asarray(x, dtype=float)
-    w = singular_weight(x, alpha)
-    out = w * jacobi_eval_all(n, JacobiIndex(alpha / 2, alpha / 2), x)[n]
-    return float(out) if out.ndim == 0 else out
+    return singular_weight(x, alpha) * jacobi_eval_all(n, idx, x)[n]
 
 
 def frac_diag_factor(n, alpha: float):

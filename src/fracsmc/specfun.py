@@ -47,7 +47,7 @@ def jacobi_eval_all(n_max: int, index: JacobiIndex, x) -> np.ndarray:
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = 0.5 * ((index.a + index.b + 2) * x + (index.a - index.b))
+        out[1] = _jacobi_p1(index, x)
     scratch = np.empty(x.shape)
     for k in range(1, n_max):
         _jacobi_step(k, index, x, out[k - 1], out[k], out[k + 1], scratch)
@@ -74,13 +74,40 @@ def jacobi_series(coeffs: np.ndarray, index: JacobiIndex, x) -> np.ndarray:
     return out
 
 
-def _jacobi_step(k, index, x, prev, cur, out, scratch) -> None:
-    """P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, in that order, into out (may be prev)."""
+def jacobi_value(n: int, index: JacobiIndex, x: float) -> float:
+    """P_n at one point, in Python floats.
+
+    The jacobi_eval_all recurrence with the same operations in the same
+    order, so it equals jacobi_eval_all(n, index, [x])[n, 0] bit for bit
+    without numpy's per-call cost.
+    """
+    x = float(x)
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, _jacobi_p1(index, x)
+    for k in range(1, n):
+        a1, a2, a3 = _jacobi_coeffs(k, index)
+        prev, cur = cur, (x * a1 + a2) * cur - prev * a3
+    return float(cur)
+
+
+def _jacobi_p1(index: JacobiIndex, x):
+    return 0.5 * ((index.a + index.b + 2) * x + (index.a - index.b))
+
+
+def _jacobi_coeffs(k: int, index: JacobiIndex) -> tuple[float, float, float]:
+    """(a1, a2, a3) of P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}."""
     a, b = index.a, index.b
     s = 2 * k + a + b
     a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
     a2 = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
     a3 = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
+    return a1, a2, a3
+
+
+def _jacobi_step(k, index, x, prev, cur, out, scratch) -> None:
+    """P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, in that order, into out (may be prev)."""
+    a1, a2, a3 = _jacobi_coeffs(k, index)
     np.multiply(prev, a3, out=scratch)
     np.multiply(x, a1, out=out)
     out += a2

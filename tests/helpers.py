@@ -55,3 +55,29 @@ def separable_source(source, x, t):
     X *= singular_weight(x, source.alpha)
     flap = np.einsum("n,nx->x", source.flap_modal, P).reshape(x.shape)
     return -X * np.sin(t) + flap * np.cos(t)
+
+
+def euler_exit_masked(x0, halfwidth, alpha, dt, rng, n_paths):
+    """oracles.euler_stable_exit as a mask over all paths, indexed every step.
+
+    The reference form of the packed loop: the same draws in the same
+    order, so the same (loc, steps, capped) and generator state.
+    """
+    from fracsmc import oracles
+
+    pos = np.full(n_paths, float(x0))
+    steps = np.zeros(n_paths, dtype=np.int64)
+    loc = np.full(n_paths, np.nan)
+    active = np.ones(n_paths, dtype=bool)
+    scale = dt ** (1.0 / alpha)
+    k = 0
+    while active.any() and k < oracles._EULER_STEP_CAP:
+        k += 1
+        idx = np.nonzero(active)[0]
+        pos[idx] += scale * oracles.sample_symmetric_stable(alpha, rng, size=len(idx))
+        steps[idx] += 1
+        out = np.abs(pos[idx]) >= halfwidth
+        done = idx[out]
+        loc[done] = pos[done]
+        active[done] = False
+    return loc, steps, active.copy()

@@ -16,11 +16,13 @@ from fracsmc.basis import (
     interpolate,
     make_grid,
     make_time_grid,
+    singular_weight,
     st_interpolate,
     st_time_derivative,
 )
 from fracsmc.parabolic import st_residual_source
 from fracsmc.presets import SeparableSource
+from fracsmc.specfun import JacobiIndex, jacobi_eval_all
 from helpers import st_operator_two_term
 
 ALPHAS = [0.4, 1.0, 1.6, 2.0]
@@ -102,6 +104,38 @@ class TestInterpolation:
         np.testing.assert_allclose(
             eval_interpolant(interp, xs), gjf_eval(n, alpha, xs), atol=1e-11
         )
+
+
+class TestGjfEval:
+    @pytest.mark.parametrize("x", [0.3, -1.0, 2.0, np.float64(0.3), np.asarray(0.3)])
+    def test_scalar_gives_float(self, x):
+        assert type(gjf_eval(3, 1.2, x)) is float
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+    def test_array_keeps_shape_and_values(self, shape):
+        xs = np.linspace(-1.2, 1.2, int(np.prod(shape))).reshape(shape)
+        want = singular_weight(xs, 1.2) * jacobi_eval_all(3, JacobiIndex(0.6, 0.6), xs)[3]
+        got = gjf_eval(3, 1.2, xs)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_equals_array_code_bitwise(self):
+        # the scalar branch against the array code at the same point: the
+        # weight against a 0-d singular_weight (whose power is libm's pow,
+        # as math.pow is; numpy's vector pow may differ by an ulp), and the
+        # whole value against the weight times the recurrence's table
+        rng = np.random.default_rng(41)
+        xs = [1.0, -1.0, 0.0, -0.0, 1.0 - 1e-16, 1.3, -4.0, *rng.uniform(-1.1, 1.1, 40)]
+        for alpha in [2.0, *rng.uniform(1e-3, 2.0, 12)]:
+            idx = JacobiIndex(alpha / 2, alpha / 2)
+            for x in xs:
+                w = singular_weight(np.asarray(x), alpha)
+                assert np.float64(gjf_eval(0, alpha, x)).tobytes() == w.tobytes()
+                table = jacobi_eval_all(12, idx, np.array([x]))
+                for n in range(13):
+                    want = (w * table[n])[0]
+                    got = np.float64(gjf_eval(n, alpha, x))
+                    assert got.tobytes() == want.tobytes(), (alpha, x, n)
 
 
 class TestModalMap:

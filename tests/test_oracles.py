@@ -7,6 +7,7 @@ the solver tests can lean on them as independent ground truth.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import fracsmc
+from fracsmc import oracles
 from fracsmc.basis import gjf_eval
 from fracsmc.oracles import (
     QuadratureFailure,
@@ -26,6 +28,7 @@ from fracsmc.oracles import (
 )
 from fracsmc.specfun import DomainError
 from fracsmc.walks import zeta_closed
+from helpers import euler_exit_masked
 
 
 def zero_extended_basis(n, alpha):
@@ -54,6 +57,16 @@ class TestDirectOperator:
         got = frac_laplacian_direct(zero_extended_basis(n, alpha), x, alpha)
         want = float(gjf_identity_rhs(n, alpha, x)[0])
         assert got == pytest.approx(want, rel=1e-6)
+
+    def test_leaves_warning_filters_alone(self):
+        # the quadrature warnings it silences stay silenced only inside it;
+        # importing scipy.integrate adds a filter of its own, so that is
+        # done before the snapshot
+        from scipy import integrate  # noqa: F401
+
+        before = list(warnings.filters)
+        frac_laplacian_direct(zero_extended_basis(0, 0.6), 0.3, 0.6)
+        assert warnings.filters == before
 
     def test_rejects_boundary_point(self):
         with pytest.raises(DomainError):
@@ -146,6 +159,26 @@ class TestEulerExit:
         rng = np.random.default_rng(34)
         loc, steps, capped = euler_stable_exit(0.2, 0.5, 1.0, 1e-4, rng, 2_000)
         assert np.all(np.abs(loc[~capped] - 0.0) >= 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4, 2.0])
+    def test_packed_loop_replays_the_masked_loop(self, alpha):
+        dt = zeta_closed(0, 1, alpha) / 100
+        self.assert_replays(0.3, 1.0, alpha, dt, 3_000)
+
+    def test_capped_paths_replay(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_EULER_STEP_CAP", 20)
+        capped = self.assert_replays(0.2, 0.5, 1.0, 1e-4, 2_000)
+        assert capped.any() and not capped.all()
+
+    @staticmethod
+    def assert_replays(x0, halfwidth, alpha, dt, n_paths):
+        rng, ref_rng = np.random.default_rng(35), np.random.default_rng(35)
+        got = euler_stable_exit(x0, halfwidth, alpha, dt, rng, n_paths)
+        want = euler_exit_masked(x0, halfwidth, alpha, dt, ref_rng, n_paths)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return got[2]
 
 
 def test_solver_modules_do_not_load_the_referees():

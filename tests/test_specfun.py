@@ -12,6 +12,7 @@ from fracsmc.specfun import (
     jacobi_eval_all,
     jacobi_gauss,
     jacobi_series,
+    jacobi_value,
     legendre_gauss_shifted,
 )
 
@@ -51,6 +52,19 @@ class TestJacobi:
             want.append((a1 * x + a2) * want[k] - a3 * want[k - 1])
         for n in (0, 1, 2, 7, n_max):
             np.testing.assert_array_equal(jacobi_eval_all(n, idx, x), np.array(want[: n + 1]))
+
+    def test_value_equals_eval_all_bitwise(self):
+        # the Python-float recurrence the quadrature referees call per point
+        rng = np.random.default_rng(41)
+        xs = [1.0, -1.0, 0.0, -0.0, 1.7, -2.5, *rng.uniform(-1.2, 1.2, 30)]
+        indices = INDICES + [JacobiIndex(a, a) for a in rng.uniform(0, 1, 6)]
+        for idx in indices:
+            for x in xs:
+                table = jacobi_eval_all(12, idx, np.array([x]))
+                for n in range(13):
+                    got = jacobi_value(n, idx, x)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == table[n, 0].tobytes(), (idx, x, n)
 
 
 class TestJacobiSeries:
