@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .specfun import (
     DomainError,
@@ -26,7 +25,10 @@ from .specfun import (
     jacobi_series,
     jacobi_value,
     legendre_gauss_shifted,
+    lgam,
 )
+
+_lgam = np.vectorize(lgam, otypes=[float])
 
 
 class ContractError(ValueError):
@@ -39,6 +41,12 @@ def singular_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(one_m > 0, np.abs(one_m) ** (alpha / 2), 0.0)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _gjf_index(alpha: float) -> JacobiIndex:
+    """The Jacobi index (alpha/2, alpha/2) of the singular basis, built once per alpha."""
+    return JacobiIndex(alpha / 2, alpha / 2)
+
+
 def gjf_eval(n: int, alpha: float, x):
     """Singular basis function (1-x^2)^(alpha/2) P_n^(alpha/2,alpha/2)(x).
 
@@ -49,7 +57,7 @@ def gjf_eval(n: int, alpha: float, x):
     """
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    idx = JacobiIndex(alpha / 2, alpha / 2)
+    idx = _gjf_index(alpha)
     if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim makes an array of a float
         x = float(x)
         one_m = 1.0 - x * x
@@ -62,7 +70,7 @@ def gjf_eval(n: int, alpha: float, x):
 def frac_diag_factor(n, alpha: float):
     """Eigenvalue Gamma(n+alpha+1)/n! of the fractional Laplacian on the basis."""
     n = np.asarray(n, dtype=float)
-    out = np.exp(sp.gammaln(n + alpha + 1) - sp.gammaln(n + 1))
+    out = np.exp(_lgam(n + alpha + 1) - _lgam(n + 1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,6 +83,7 @@ class GjfGrid:
     rule: QuadratureRule = field(repr=False)
     c_matrix: np.ndarray = field(repr=False)  # (N_x+1, N_x+1), c[n, j]
     bary_weights: np.ndarray = field(repr=False)  # barycentric weights of the nodes
+    flap_diag: np.ndarray = field(repr=False)  # frac_diag_factor of degrees 0..N_x
 
     @property
     def nodes(self) -> np.ndarray:
@@ -88,14 +97,15 @@ def make_grid(alpha: float, N_x: int) -> GjfGrid:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     if N_x < 0:
         raise DomainError("N_x must be >= 0")
-    idx = JacobiIndex(alpha / 2, alpha / 2)
+    idx = _gjf_index(alpha)
     rule = jacobi_gauss(N_x, idx)
     x = rule.nodes
     P = jacobi_eval_all(N_x, idx, x)  # (n, j)
     gam = np.array([gamma_norm(n, idx) for n in range(N_x + 1)])
     c = (P * (1 - x * x) ** (-alpha / 2) * rule.weights) / gam[:, None]
     bw = np.array([1.0 / np.prod(xj - np.delete(x, j)) for j, xj in enumerate(x)])
-    return GjfGrid(alpha=alpha, N_x=N_x, rule=rule, c_matrix=c, bary_weights=bw)
+    lam = frac_diag_factor(np.arange(N_x + 1), alpha)
+    return GjfGrid(alpha=alpha, N_x=N_x, rule=rule, c_matrix=c, bary_weights=bw, flap_diag=lam)
 
 
 def lagrange_cardinal(nodes: np.ndarray, bw: np.ndarray, x) -> np.ndarray:
@@ -164,14 +174,13 @@ def frac_laplacian_modal(f: Interpolant1D) -> np.ndarray:
 
     The result expands (-Lap)^(alpha/2) f as sum_n c_n P_n^(a/2,a/2)(x).
     """
-    n = np.arange(f.grid.N_x + 1)
-    return f.modal * frac_diag_factor(n, f.grid.alpha)
+    return f.modal * f.grid.flap_diag
 
 
 def eval_jacobi_series(coeffs: np.ndarray, alpha: float, x):
     """Evaluate sum_n coeffs[n] P_n^(alpha/2,alpha/2)(x), any input shape."""
     x = np.asarray(x, dtype=float)
-    out = jacobi_series(coeffs, JacobiIndex(alpha / 2, alpha / 2), x)
+    out = jacobi_series(coeffs, _gjf_index(alpha), x)
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -269,7 +278,7 @@ def eval_weighted_columns(alpha: float, weighted, plain, x):
     # is released before the weight is built.  At the higher peak, glibc
     # trimmed the heap top after nearly every parabolic walk and the loop
     # page-faulted it back in.
-    P = jacobi_eval_all(len(weighted) - 1, JacobiIndex(alpha / 2, alpha / 2), x)
+    P = jacobi_eval_all(len(weighted) - 1, _gjf_index(alpha), x)
     out = np.einsum("p...,p...->...", P, weighted)
     if plain is not None:
         rest = np.einsum("p...,p...->...", P, plain)
@@ -289,8 +298,7 @@ def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
 
 def st_frac_laplacian(f: SpaceTimeInterpolant) -> np.ndarray:
     """Modal matrix of the spatial fractional Laplacian (Jacobi x Legendre)."""
-    p = np.arange(f.grid.N_x + 1)
-    return f.modal * frac_diag_factor(p, f.grid.alpha)[:, None]
+    return f.modal * f.grid.flap_diag[:, None]
 
 
 def st_time_derivative(f: SpaceTimeInterpolant) -> np.ndarray:

@@ -13,8 +13,8 @@ the Galerkin solution), and from walks BallGeometry, zeta_closed and
 the reference jump inversion sample_jump_scaled (which the kernels do
 not call); the integral, Green's function, CMS and Euler code is their
 own.  No solver module imports this one.  The CLI imports it for its
-validate suites, so the referees import scipy.integrate and scipy.stats
-only when they run: a `fracsmc run` loads neither.
+validate suites, so the referees reach scipy.special, scipy.integrate
+and scipy.stats only when they run: a `fracsmc run` loads none of them.
 
 The referees are bit-for-bit reproducible, and two of them are hot loops.
 frac_laplacian_direct calls its integrand once per quadrature point (a
@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
+import scipy  # scipy.special loads on first use
 
 from .basis import WeightedSeries, frac_diag_factor
 from .specfun import DomainError, JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
@@ -56,8 +56,8 @@ def normalization_constant(alpha: float) -> float:
     return float(
         alpha
         * 2 ** (alpha - 1)
-        * sp.gamma((1 + alpha) / 2)
-        / (np.pi ** 0.5 * sp.gamma(1 - alpha / 2))
+        * scipy.special.gamma((1 + alpha) / 2)
+        / (np.pi ** 0.5 * scipy.special.gamma(1 - alpha / 2))
     )
 
 
@@ -288,8 +288,8 @@ def greens_q(x, y, r: float, alpha: float):
             # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
             out = np.arcsinh(np.sqrt(rho)) / np.pi
         else:
-            coeff = 1.0 / (2**alpha * sp.gamma(alpha / 2) ** 2)
-            inner = (2 / alpha) * rho ** (alpha / 2) * sp.hyp2f1(
+            coeff = 1.0 / (2**alpha * scipy.special.gamma(alpha / 2) ** 2)
+            inner = (2 / alpha) * rho ** (alpha / 2) * scipy.special.hyp2f1(
                 0.5, alpha / 2, 1 + alpha / 2, -rho
             )
             out = coeff * np.abs(y - x) ** (alpha - 1) * inner

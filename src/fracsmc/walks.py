@@ -37,10 +37,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as sp
+import scipy  # scipy.special only for sample_jump_scaled, on first use
 
 from .rng import RngStream
-from .specfun import DomainError, JacobiIndex, jacobi_gauss
+from .specfun import DomainError, Gamma, JacobiIndex, jacobi_gauss
 
 JUMP_LAW_EXIT = "exit_law"
 JUMP_LAW_VERBATIM = "verbatim"
@@ -101,7 +101,7 @@ def fixed_radius(dt: float, alpha: float) -> float:
     if dt <= 0:
         raise DomainError("dt must be positive")
     try:
-        r = (dt * float(sp.gamma(1 + alpha))) ** (1.0 / alpha)
+        r = (dt * Gamma(1 + alpha)) ** (1.0 / alpha)
     except OverflowError:
         r = math.inf
     if not math.isfinite(r):
@@ -118,7 +118,7 @@ def zeta_closed(offset, radius, alpha: float):
     whole range alpha in (0, 2].
     """
     offset = np.asarray(offset, dtype=float)
-    out = np.abs(radius**2 - offset**2) ** (alpha / 2) / sp.gamma(1 + alpha)
+    out = np.abs(radius**2 - offset**2) ** (alpha / 2) / Gamma(1 + alpha)
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,13 +151,13 @@ def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
         # Invert the complementary regularized incomplete beta so 1 - v is
         # held to full relative precision deep in the heavy tail, where
         # v itself would round to 1:  I_v(a, b) = 1 - I_{1-v}(b, a).
-        one_minus_v = sp.betaincinv(
+        one_minus_v = scipy.special.betaincinv(
             alpha / 2, 1 - alpha / 2, np.maximum(1.0 - omega, 1e-300)
         )
         out = 1.0 / np.sqrt(np.maximum(one_minus_v, _W_FLOOR))
     elif law == JUMP_LAW_VERBATIM:
         complete = np.pi / np.sin(np.pi * alpha / 2)
-        v = sp.betaincinv(1 - alpha / 2, alpha / 2, omega)
+        v = scipy.special.betaincinv(1 - alpha / 2, alpha / 2, omega)
         out = 1.0 / np.sqrt(complete - v)
     else:
         raise ValueError(f"unknown jump law {law!r}")
@@ -257,7 +257,7 @@ def poisson_walks(
     scores = np.zeros(len(pos))
     steps = np.zeros(len(pos), dtype=np.int64)
     active = np.ones(len(pos), dtype=bool)
-    gamma1a = sp.gamma(1 + alpha)
+    gamma1a = Gamma(1 + alpha)
 
     n_steps = 0
     while active.any() and n_steps < POISSON_STEP_CAP:

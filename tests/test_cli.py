@@ -525,6 +525,7 @@ class TestColdRun:
         "scipy.linalg",
         "scipy.stats",
         "scipy.interpolate",
+        "scipy.special",
     )
 
     def test_run_loads_no_referee_scipy_submodule(self, tmp_path):

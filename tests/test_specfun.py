@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
 
-from fracsmc.basis import shifted_legendre
+from fracsmc.basis import frac_diag_factor, shifted_legendre
 from fracsmc.specfun import (
     DomainError,
+    Gamma,
     JacobiIndex,
+    beta,
     jacobi_eval_all,
     jacobi_gauss,
     jacobi_series,
     jacobi_value,
     legendre_gauss_shifted,
+    lgam,
+    rgamma,
 )
 
 INDICES = [JacobiIndex(0.2, 0.2), JacobiIndex(0.6, 0.6), JacobiIndex(0.6, -0.2)]
@@ -89,6 +93,76 @@ class TestJacobiSeries:
             batch = jacobi_series(coeffs, idx, x)
             for i in (0, 17, 63):
                 np.testing.assert_array_equal(jacobi_series(coeffs, idx, x[i : i + 1]), batch[i])
+
+
+class TestCephesPorts:
+    """The Python-float cephes ports against scipy.special, bit for bit.
+
+    This pins scipy 1.17's xsf routines (xsf::cephes Gamma, lgam, rgamma
+    and beta): another scipy build of them may round differently.  The
+    arguments are those the solver passes, at every alpha it accepts.
+    """
+
+    ALPHAS = np.concatenate(
+        [np.geomspace(2.5e-16, 2.0, 20_001), np.linspace(0.0, 2.0, 20_001)[1:]]
+    )
+
+    @staticmethod
+    def assert_bitwise(port, ref, *args):
+        mine = np.array([port(*a) for a in zip(*args)])
+        want = np.asarray(ref(*args), dtype=float)
+        bad = mine.view(np.int64) != want.view(np.int64)
+        assert not bad.any(), f"{bad.sum()} mismatches, first at {[a[bad][0] for a in args]}"
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (lambda al: al / 2 + 1, lambda al: al / 2 + 1),  # jacobi_gauss of the basis
+            (lambda al: al / 2, lambda al: al / 2),  # the occupation rule's S
+            (lambda al: np.ones_like(al), lambda al: al),  # the occupation rule's V
+            (lambda al: np.ones_like(al), lambda al: np.ones_like(al)),  # Legendre
+        ],
+    )
+    def test_beta(self, a, b):
+        self.assert_bitwise(beta, special.beta, a(self.ALPHAS), b(self.ALPHAS))
+
+    def test_beta_over_its_range(self):
+        # a + b <= MAXGAM, Gamma's Stirling branch (x > 33) included
+        rng = np.random.default_rng(0)
+        a, b = 10 ** rng.uniform(-10, np.log10(85), (2, 4000))
+        self.assert_bitwise(beta, special.beta, a, b)
+        with pytest.raises(DomainError):
+            beta(100.0, 72.0)
+
+    @pytest.mark.parametrize("arg", [lambda al: 1 + al, lambda al: al / 2])
+    def test_gamma(self, arg):
+        self.assert_bitwise(Gamma, special.gamma, arg(self.ALPHAS))
+
+    def test_gamma_and_rgamma_over_their_range(self):
+        x = np.geomspace(1e-300, 200.0, 20_001)
+        self.assert_bitwise(Gamma, special.gamma, x)
+        self.assert_bitwise(rgamma, special.rgamma, x)
+
+    def test_gammaln(self):
+        n, alpha = np.meshgrid(np.arange(400.0), self.ALPHAS[::800])
+        self.assert_bitwise(lgam, special.gammaln, (n + alpha + 1).ravel())
+        self.assert_bitwise(lgam, special.gammaln, np.geomspace(1e-300, 1e300, 20_001))
+
+    def test_frac_diag_factor_matches_the_scipy_formula(self):
+        n = np.arange(400.0)
+        for alpha in self.ALPHAS[::4000]:
+            want = np.exp(special.gammaln(n + alpha + 1) - special.gammaln(n + 1))
+            assert frac_diag_factor(n, alpha).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("port", [Gamma, lgam, rgamma, lambda x: beta(x, 1.0)])
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.5, float("nan"), -np.inf])
+    def test_rejects_non_positive_arguments(self, port, x):
+        with pytest.raises(DomainError):
+            port(x)
+
+    def test_beta_rejects_a_non_positive_second_argument(self):
+        with pytest.raises(DomainError):
+            beta(1.0, 0.0)
 
 
 class TestJacobiGauss:
