@@ -202,6 +202,32 @@ class WeightedSeries:
         return float(out) if out.ndim == 0 else out
 
 
+def jacobi_projection(f, alpha: float, degree: int) -> np.ndarray:
+    """Coefficients c_0..c_degree of f in the P_n^(alpha/2,alpha/2).
+
+    c_n = <f, P_n> / gamma_n in the weight (1-x^2)^(alpha/2), the inner
+    product taken by its (degree+41)-point Gauss rule; f maps an array of
+    points to values of the same shape.
+    """
+    idx = _gjf_index(alpha)
+    rule = jacobi_gauss(degree + 40, idx)
+    P = jacobi_eval_all(degree, idx, rule.nodes)
+    g = np.array([gamma_norm(n, idx) for n in range(degree + 1)])
+    return (P @ (f(rule.nodes) * rule.weights)) / g
+
+
+def galerkin_solve(f, alpha: float, N: int) -> WeightedSeries:
+    """Diagonal Galerkin solution of (-Delta)^(alpha/2) u = f, u = 0 outside (-1, 1).
+
+    The singular basis diagonalizes the operator, so u's coefficients are
+    the degree-N projection of f divided by the eigenvalues.
+    """
+    if not 0 < alpha <= 2:
+        raise DomainError(f"alpha must be in (0, 2], got {alpha}")
+    modal_f = jacobi_projection(f, alpha, N)
+    return WeightedSeries(alpha, modal_f / frac_diag_factor(np.arange(N + 1), alpha))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Temporal collocation grid on (0, T) with its nodal-to-modal map."""

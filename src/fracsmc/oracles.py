@@ -1,20 +1,20 @@
 """Brute-force references.
 
 The fractional Laplacian is evaluated straight from its principal-value
-integral, the reference solution comes from a deterministic diagonal
-Galerkin projection, and the stable process is simulated step by step
-with Chambers-Mallows-Stuck increments.  The occupation density of a ball
-(greens_q) and its quadrature (occupation_zeta) check the closed-form
-exit time walks.zeta_closed.  These referees are low-accuracy by design;
-they tie the spectral identities and the walk kernels to ground truth.
-They share with the solver the Jacobi recurrence, norms and Gauss rules
-of specfun, basis.frac_diag_factor and basis.WeightedSeries (the type of
-the Galerkin solution), and from walks BallGeometry, zeta_closed and
-the reference jump inversion sample_jump_scaled (which the kernels do
-not call); the integral, Green's function, CMS and Euler code is their
-own.  No solver module imports this one.  The CLI imports it for its
-validate suites, so the referees reach scipy.special, scipy.integrate
-and scipy.stats only when they run: a `fracsmc run` loads none of them.
+integral, the reference solution comes from the deterministic diagonal
+Galerkin projection basis.galerkin_solve (bound here by name), and the
+stable process is simulated step by step with Chambers-Mallows-Stuck
+increments.  The occupation density of a ball (greens_q) and its
+quadrature (occupation_zeta) check the closed-form exit time
+walks.zeta_closed.  These referees are low-accuracy by design; they tie
+the spectral identities and the walk kernels to ground truth.  They
+share with the solver the Jacobi recurrence and Gamma of specfun,
+basis.frac_diag_factor, and from walks BallGeometry, zeta_closed and the
+reference jump inversion sample_jump_scaled (which the kernels do not
+call); the integral, Green's function, CMS and Euler code is their own.
+No solver module imports this one.  The CLI imports it for its validate
+suites, so the referees reach scipy.special, scipy.integrate and
+scipy.stats only when they run: a `fracsmc run` loads none of them.
 
 The referees are bit-for-bit reproducible, and two of them are hot loops.
 frac_laplacian_direct calls its integrand once per quadrature point (a
@@ -30,10 +30,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.special loads on first use
+import scipy  # scipy.special (greens_q's hyp2f1) loads on first use
 
-from .basis import WeightedSeries, frac_diag_factor
-from .specfun import DomainError, JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
+from .basis import frac_diag_factor, galerkin_solve  # noqa: F401 (the Galerkin referee)
+from .specfun import DomainError, Gamma, JacobiIndex, jacobi_eval_all
 from .walks import (
     JUMP_LAW_EXIT,
     JUMP_LAW_VERBATIM,
@@ -56,8 +56,8 @@ def normalization_constant(alpha: float) -> float:
     return float(
         alpha
         * 2 ** (alpha - 1)
-        * scipy.special.gamma((1 + alpha) / 2)
-        / (np.pi ** 0.5 * scipy.special.gamma(1 - alpha / 2))
+        * Gamma((1 + alpha) / 2)
+        / (np.pi ** 0.5 * Gamma(1 - alpha / 2))
     )
 
 
@@ -150,24 +150,6 @@ def frac_laplacian_direct(
                 return a
         raise QuadratureFailure(f"cutoff schedule did not settle: {vals}")
     return vals[-1]
-
-
-def galerkin_solve(f, alpha: float, N: int) -> WeightedSeries:
-    """Diagonal Galerkin solution of the homogeneous fractional Poisson problem.
-
-    The singular basis diagonalizes the operator, so each coefficient is a
-    single weighted inner product of the source.
-    """
-    if not 0 < alpha <= 2:
-        raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    idx = JacobiIndex(alpha / 2, alpha / 2)
-    rule = jacobi_gauss(N + 80, idx)
-    fx = np.asarray(f(rule.nodes), dtype=float)
-    P = jacobi_eval_all(N, idx, rule.nodes)
-    inner = P @ (fx * rule.weights)
-    m = np.arange(N + 1)
-    gam = np.array([gamma_norm(n, idx) for n in m])
-    return WeightedSeries(alpha, inner / (frac_diag_factor(m, alpha) * gam))
 
 
 def sample_symmetric_stable(
@@ -288,7 +270,7 @@ def greens_q(x, y, r: float, alpha: float):
             # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
             out = np.arcsinh(np.sqrt(rho)) / np.pi
         else:
-            coeff = 1.0 / (2**alpha * scipy.special.gamma(alpha / 2) ** 2)
+            coeff = 1.0 / (2**alpha * Gamma(alpha / 2) ** 2)
             inner = (2 / alpha) * rho ** (alpha / 2) * scipy.special.hyp2f1(
                 0.5, alpha / 2, 1 + alpha / 2, -rho
             )

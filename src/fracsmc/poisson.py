@@ -49,6 +49,9 @@ from .walks import OCCUPATION_NODES, WalkBatch, poisson_walks
 # while 90 % of the floor sweeps did.
 STALL_RATIO = 5.0
 STALL_SHRINK = 2.0
+# The largest n_x whose barycentric weights 1/prod(x_j - x_i) are finite at every
+# alpha: the product underflows to 0 from n_x = 861 (alpha -> 0) to 864 (alpha = 2).
+MAX_N_X = 860
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class PoissonConfig:
 
 
 def check_shared_rules(cfg) -> None:
-    """Raise ValueError unless cfg's alpha, counts, tol and seed are usable.
+    """Raise ValueError unless cfg's alpha, counts, n_x, tol and seed are usable.
 
     Both solver configs (PoissonConfig, ParabolicConfig) start their
     validate() here; the comparisons are written so that NaN fails them.
@@ -91,6 +94,8 @@ def check_shared_rules(cfg) -> None:
     low = [f"{n} = {v}" for n, v in counts.items() if not v >= 1]
     if low:
         raise ValueError(f"n_x, n_walks and k_max must be positive, got {', '.join(low)}")
+    if cfg.n_x > MAX_N_X:
+        raise ValueError(f"n_x = {cfg.n_x} is above {MAX_N_X}, the largest usable degree")
     if not 0 < cfg.tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {cfg.tol}")
     if cfg.seed < 0:

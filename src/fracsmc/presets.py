@@ -14,8 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import WeightedSeries, eval_jacobi_series, frac_diag_factor
-from .specfun import JacobiIndex, gamma_norm, jacobi_eval_all, jacobi_gauss
+from .basis import (
+    WeightedSeries,
+    eval_jacobi_series,
+    frac_diag_factor,
+    galerkin_solve,
+    jacobi_projection,
+)
 
 
 @dataclass(frozen=True)
@@ -51,18 +56,9 @@ class ParabolicPreset:
     initial: WeightedSeries = field(repr=False)  # u(x, 0)
 
 
-def _modal_coefficients(alpha: float, smooth, degree: int) -> np.ndarray:
-    """Jacobi coefficients of a smooth factor by Gauss quadrature."""
-    idx = JacobiIndex(alpha / 2, alpha / 2)
-    rule = jacobi_gauss(degree + 40, idx)
-    P = jacobi_eval_all(degree, idx, rule.nodes)
-    g = np.array([gamma_norm(n, idx) for n in range(degree + 1)])
-    return (P @ (smooth(rule.nodes) * rule.weights)) / g
-
-
 def _series_pair(alpha: float, smooth, degree: int):
     """Solution (1-x^2)^(a/2) * smooth and its matched source."""
-    modal = _modal_coefficients(alpha, smooth, degree)
+    modal = jacobi_projection(smooth, alpha, degree)
     source_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
 
     def f(x):
@@ -84,23 +80,13 @@ def sine_preset(alpha: float) -> SteadyPreset:
 
 
 def sin_source_preset(alpha: float) -> SteadyPreset:
-    """Pure source f(x) = sin(x); the solution is the diagonal projection.
-
-    Here the source is prescribed and the reference solution comes from
-    dividing its degree-100 modal coefficients by the eigenvalue factors.
-    """
-    degree = 100
-    modal_f = _modal_coefficients(alpha, np.sin, degree)
-    lam = frac_diag_factor(np.arange(degree + 1), alpha)
-    return SteadyPreset(
-        solution=WeightedSeries(alpha, modal_f / lam),
-        source=np.sin,
-    )
+    """Pure source f(x) = sin(x); the solution is its degree-100 Galerkin solve."""
+    return SteadyPreset(solution=galerkin_solve(np.sin, alpha, 100), source=np.sin)
 
 
 def _parabolic_from_series(alpha, smooth, degree):
     """Separable solution u(x,t) = X(x) cos(t) with its matched source."""
-    modal = _modal_coefficients(alpha, smooth, degree)
+    modal = jacobi_projection(smooth, alpha, degree)
     flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
     space = WeightedSeries(alpha, modal)
 

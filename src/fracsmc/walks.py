@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy  # scipy.special only for sample_jump_scaled, on first use
 
 from .rng import RngStream
 from .specfun import DomainError, Gamma, JacobiIndex, jacobi_gauss
@@ -146,18 +145,18 @@ def sample_jump_scaled(omega, alpha: float, law: str = DEFAULT_JUMP_LAW):
     """
     if not 0 < alpha < 2:
         raise DomainError(f"jump sampling requires alpha in (0, 2), got {alpha}")
+    from scipy.special import betaincinv  # only this reference needs scipy
+
     omega = np.asarray(omega, dtype=float)
     if law == JUMP_LAW_EXIT:
         # Invert the complementary regularized incomplete beta so 1 - v is
         # held to full relative precision deep in the heavy tail, where
         # v itself would round to 1:  I_v(a, b) = 1 - I_{1-v}(b, a).
-        one_minus_v = scipy.special.betaincinv(
-            alpha / 2, 1 - alpha / 2, np.maximum(1.0 - omega, 1e-300)
-        )
+        one_minus_v = betaincinv(alpha / 2, 1 - alpha / 2, np.maximum(1.0 - omega, 1e-300))
         out = 1.0 / np.sqrt(np.maximum(one_minus_v, _W_FLOOR))
     elif law == JUMP_LAW_VERBATIM:
         complete = np.pi / np.sin(np.pi * alpha / 2)
-        v = scipy.special.betaincinv(1 - alpha / 2, alpha / 2, omega)
+        v = betaincinv(1 - alpha / 2, alpha / 2, omega)
         out = 1.0 / np.sqrt(complete - v)
     else:
         raise ValueError(f"unknown jump law {law!r}")

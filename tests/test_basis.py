@@ -14,6 +14,7 @@ from fracsmc.basis import (
     frac_laplacian_modal,
     gjf_eval,
     interpolate,
+    jacobi_projection,
     make_grid,
     make_time_grid,
     singular_weight,
@@ -21,6 +22,7 @@ from fracsmc.basis import (
     st_time_derivative,
 )
 from fracsmc.parabolic import st_residual_source
+from fracsmc.poisson import MAX_N_X
 from fracsmc.presets import SeparableSource
 from fracsmc.specfun import JacobiIndex, jacobi_eval_all
 from helpers import st_operator_two_term
@@ -87,6 +89,14 @@ class TestInterpolation:
         got = eval_interpolant(interp, xs)
         assert got.shape == (4, 7)
         np.testing.assert_allclose(got, u(xs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-15, 2.0])
+    def test_barycentric_weights_usable_at_the_largest_degree(self, alpha):
+        # run configs stop at n_x = MAX_N_X; one degree more and the product
+        # in the weights underflows to 0 as alpha -> 0
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            bw = make_grid(alpha, MAX_N_X).bary_weights
+        assert np.all(np.isfinite(bw)) and np.all(bw != 0)
 
     def test_shape_mismatch_raises(self):
         grid = make_grid(0.5, 3)
@@ -163,6 +173,12 @@ class TestModalMap:
             assert eval_jacobi_series(coeffs, alpha, x) == pytest.approx(
                 num, abs=1e-5
             )
+
+    def test_projection_recovers_a_jacobi_polynomial(self):
+        alpha = 0.7
+        idx = JacobiIndex(alpha / 2, alpha / 2)
+        coeffs = jacobi_projection(lambda x: jacobi_eval_all(3, idx, x)[3], alpha, 6)
+        np.testing.assert_allclose(coeffs, np.eye(7)[3], rtol=0, atol=1e-13)
 
     def test_series_eval_preserves_shape(self):
         coeffs = np.array([1.0, -0.5, 0.25])

@@ -1,9 +1,13 @@
 """Config parsing, report writing, and exit-code behavior of the CLI."""
 
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracsmc
+from fracsmc import presets
+from fracsmc.basis import interpolate, make_grid
 from fracsmc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -134,6 +140,53 @@ class TestConfigProperties:
             # one below 2 / MAX_UNIT_JUMP lets no path leave
             r = fixed_radius(cfg.t_final / cfg.n_sub, cfg.alpha)
             assert 2 <= r * MAX_UNIT_JUMP and r < 2
+
+
+@st.composite
+def _small_runs(draw):
+    """Config text of a tiny run over the whole accepted input range."""
+    parabolic = draw(st.booleans())
+    pool = ("u1_parabolic", "u2_parabolic") if parabolic else ("u1", "u2", "source_sin")
+    n_x = draw(st.integers(1, 40))
+    alpha = draw(st.one_of(st.floats(1e-15, 2.0), st.sampled_from([1.0, 2.0])))
+    text = (
+        f"equation = {'parabolic' if parabolic else 'poisson'}\n"
+        f"preset = {draw(st.sampled_from(pool))}\n"
+        f"alpha = {alpha!r}\nn_x = {n_x}\n"
+        f"m1 = {draw(st.integers((n_x + 2) // 2, 48))}\n"
+        f"m = {draw(st.integers(1, 3))}\nk_max = {draw(st.integers(1, 2))}\n"
+        f"seed = {draw(st.integers(0, 2**64))}\n"
+        f"tol = {draw(st.floats(1e-320, 1e300))!r}\n"
+    )
+    if parabolic:
+        text += (
+            f"n_t = {draw(st.integers(1, 6))}\n"
+            f"t_final = {draw(st.floats(1e-12, 50.0))!r}\n"
+            f"n_sub = {draw(st.integers(1, 500))}\n"
+        )
+    return text
+
+
+class TestRunProperties:
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(text=_small_runs())
+    def test_run_writes_a_finite_report_or_exits_2_with_one_line(self, text):
+        # in-process, so one example costs a solve and no interpreter start
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp, "exp.cfg"), Path(tmp, "r.csv")
+            cfg.write_text(text + f"out = {out}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["run", str(cfg)])
+            rows = out.read_text().splitlines()[2:] if out.exists() else []
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert rc == 0 and rows, err.getvalue()
+        for row in rows:
+            *cells, ms = row.split(",")
+            assert cells[3] != "" and ms == "", row  # e_inf is set, timings are not
+            assert all(math.isfinite(float(c)) for c in cells), row
 
 
 class TestFmt:
@@ -301,6 +354,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: t_final/n_sub = ") and "underflows to 0" in err
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("text", [GOOD + "m1 = 431\n", PARABOLIC], ids=["poisson", "parabolic"])
+    def test_degree_past_the_barycentric_limit_exits_2_before_solving(
+        self, text, tmp_path, monkeypatch, capsys
+    ):
+        # a u1 run at n_x = 1100 printed two RuntimeWarnings, wrote an empty
+        # e_inf and exited 0: from n_x = 861 the barycentric weights underflow
+        self._forbid_solving(monkeypatch)
+        out = tmp_path / "r.csv"
+        text = text.replace("n_x = 2", "n_x = 861") + f"out = {out}\n"
+        assert main(["run", self._write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_x = 861 is above 860") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         # a config too large for memory (m1 = 100000000 made np.diag ask
@@ -483,6 +550,25 @@ class TestStopReasons:
         line = capsys.readouterr().out
         assert "(stopped by stalled; resolution-limited: raise n_x/n_t or n_sub)" in line
         assert len(out.read_text().splitlines()[2:]) < 40
+
+    @pytest.mark.parametrize("alpha, seed", [(0.6, 3), (1.2, 1)])
+    def test_u2_preset_reaches_its_truncation_floor(self, alpha, seed, tmp_path, capsys):
+        # the floor is the error of interpolating the exact solution at the
+        # report's probe points; at m = 50 the walk noise adds at most 15 %
+        # to it over seeds 1-3 at alpha 0.6 and 1.2
+        pre = presets.sine_preset(alpha)
+        grid = make_grid(alpha, 8)
+        xs = np.linspace(-0.97, 0.97, 50)
+        floor = np.max(np.abs(interpolate(grid, pre.solution(grid.nodes))(xs) - pre.solution(xs)))
+        out = tmp_path / "r.csv"
+        text = GOOD.replace("preset = u1", "preset = u2").replace("n_x = 2", "n_x = 8")
+        text = text.replace("m = 20", "m = 50").replace("k_max = 4", "k_max = 40")
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(text.replace("alpha = 0.6", f"alpha = {alpha}"))
+        assert main(["run", str(cfgp), "--seed", str(seed), "--out", str(out)]) == 0
+        assert re.search(r"\(stopped by (tol|stalled)", capsys.readouterr().out)
+        e_inf = float(out.read_text().splitlines()[-1].split(",")[3])
+        assert math.isfinite(e_inf) and e_inf < 2 * floor
 
 
 class TestDeterminism:
