@@ -316,10 +316,18 @@ def eval_weighted_columns(alpha: float, weighted, plain, x):
 
 
 def eval_st_interpolant(f: SpaceTimeInterpolant, x, t):
-    """Evaluate at points (x, t); x and t broadcast elementwise."""
-    L = shifted_legendre(f.tgrid.N_t, t, f.tgrid.T)
+    """Evaluate at points (x, t), broadcast elementwise; a scalar pair gives a float.
+
+    A time outside [0, T] raises DomainError, not a Legendre extrapolation.
+    """
+    T, t = f.tgrid.T, np.asarray(t, dtype=float)
+    outside = (t < 0) | (t > T)
+    if outside.any():
+        raise DomainError(f"time {t[outside].flat[0]:g} is outside [0, T] = [0, {T:g}]")
+    L = shifted_legendre(f.tgrid.N_t, t, T)
     cols = (f.modal @ L.reshape(len(L), -1)).reshape((-1,) + L.shape[1:])
-    return eval_weighted_columns(f.grid.alpha, cols, None, x)
+    out = eval_weighted_columns(f.grid.alpha, cols, None, x)
+    return float(out[0]) if np.ndim(x) == np.ndim(t) == 0 else out
 
 
 def st_frac_laplacian(f: SpaceTimeInterpolant) -> np.ndarray:

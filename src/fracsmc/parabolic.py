@@ -11,13 +11,13 @@ fixed radius of dt = t_j / n_sub: common random numbers, so the nodes'
 noise is correlated, each node's correction stays unbiased and node
 order changes no number.
 
-The source (presets.SeparableSource) is a modal series in the iterate's
-basis, so the residual is one series, the source's coefficients minus
-those of u_t + (-Delta)^(alpha/2) u_k (st_residual_source): a walk's
-residual call evaluates one Jacobi table and one singular weight, and
-the coefficient columns at a time node's n_sub+1 walk times are built
-once per sweep.  The initial-data residual u0 - u_k(., 0) is one
-weighted series too (st_residual_initial).
+The source f = -X sin t + ((-Delta)^(alpha/2) X) cos t is given by its
+profile X, a series in the iterate's basis, so the residual is one series,
+f's coefficients minus those of u_t + (-Delta)^(alpha/2) u_k
+(st_residual_source): a walk's residual call evaluates one Jacobi table
+and one singular weight, and the coefficient columns at a time node's
+n_sub+1 walk times are built once per sweep.  The initial-data residual
+u0 - u_k(., 0) is one weighted series too (st_residual_initial).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .basis import (
     SpaceTimeInterpolant,
     WeightedSeries,
     eval_weighted_columns,
+    frac_diag_factor,
     make_grid,
     make_time_grid,
     shifted_legendre,
@@ -100,11 +101,12 @@ def check_step_radius(final_time: float, n_sub: int, alpha: float) -> None:
 def st_residual_source(interp: SpaceTimeInterpolant, source):
     """Residual f - u_t - (-Delta)^(alpha/2) u as one series in (x, t).
 
-    `source` is a presets.SeparableSource, f = -X sin t + (-Delta)^(a/2) X
-    cos t.  The residual is sum_p P_p(x) (w(x) W_p(t) + V_p(t)), w the
-    singular weight, with W(t) = -modal sin t - (u_t modal) L(t) and
-    V(t) = flap_modal cos t - ((-Delta)^(a/2) u modal) L(t), L(t) the
-    shifted Legendre column, up to the larger of the two spatial degrees.
+    `source` is the profile X (a basis.WeightedSeries, coefficients `modal`)
+    of f = -X sin t + ((-Delta)^(a/2) X) cos t.  The residual is sum_p P_p(x)
+    (w(x) W_p(t) + V_p(t)), w the singular weight, W(t) = -modal sin t -
+    (u_t modal) L(t), V(t) = modal lam cos t - ((-Delta)^(a/2) u modal) L(t),
+    lam = Gamma(n+a+1)/n!, L(t) the shifted Legendre column, up to the
+    larger spatial degree.
     A call evaluates one Jacobi table and one weight at x.  The columns W,
     V at an array of times are built on its first call and kept (the
     walks of a sweep share n_t+1 rows of times); they depend on the times
@@ -112,12 +114,13 @@ def st_residual_source(interp: SpaceTimeInterpolant, source):
     """
     alpha, tgrid = interp.grid.alpha, interp.tgrid
     n_x, n_t = interp.grid.N_x, tgrid.N_t
-    degree = len(source.modal)
+    modal = source.coefficients
+    degree = len(modal)
     # W and V against the time rows (sin t, cos t, L_0(t), ..., L_n_t(t))
     coeffs = np.zeros((2, max(n_x + 1, degree), n_t + 3))
-    coeffs[0, :degree, 0] = -source.modal
+    coeffs[0, :degree, 0] = -modal
     coeffs[0, : n_x + 1, 2 : n_t + 2] = -st_time_derivative(interp)
-    coeffs[1, :degree, 1] = source.flap_modal
+    coeffs[1, :degree, 1] = modal * frac_diag_factor(np.arange(degree), alpha)
     coeffs[1, : n_x + 1, 2:] = -st_frac_laplacian(interp)
     columns = {}
 
@@ -159,8 +162,8 @@ def stsmc_solve(
 ) -> Solution:
     """Iterate walk sweeps over the space-time collocation tensor.
 
-    `source` is a presets.SeparableSource and `initial` a
-    basis.WeightedSeries, as the parabolic presets give them.
+    `source` is the profile X of the separable source and `initial` u(., 0),
+    both basis.WeightedSeries, as the parabolic presets give them.
     """
     cfg.validate()
     grid = make_grid(cfg.alpha, cfg.n_x)

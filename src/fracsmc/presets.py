@@ -32,28 +32,12 @@ class SteadyPreset:
 
 
 @dataclass(frozen=True)
-class SeparableSource:
-    """f(x, t) = -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t, as coefficients.
-
-    X = (1-x^2)^(alpha/2) sum_n modal[n] P_n^(alpha/2,alpha/2) and its
-    fractional Laplacian is sum_n flap_modal[n] P_n, flap_modal = modal
-    Gamma(n+alpha+1)/n!: the source of X(x) cos t.  The space-time
-    residual (parabolic.st_residual_source) folds the two coefficient
-    vectors into its own series; nothing evaluates f apart from it.
-    """
-
-    alpha: float
-    modal: np.ndarray = field(repr=False)
-    flap_modal: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ParabolicPreset:
     """Exact solution, source, and initial data for the evolution problem."""
 
-    solution: Callable = field(repr=False)  # u(x, t)
-    source: SeparableSource = field(repr=False)  # f(x, t)
-    initial: WeightedSeries = field(repr=False)  # u(x, 0)
+    solution: Callable = field(repr=False)  # u(x, t) = X(x) cos t
+    source: WeightedSeries = field(repr=False)  # X: f = -X sin t + (-Delta)^(a/2) X cos t
+    initial: WeightedSeries = field(repr=False)  # u(x, 0) = X, the same series
 
 
 def _series_pair(alpha: float, smooth, degree: int):
@@ -85,17 +69,13 @@ def sin_source_preset(alpha: float) -> SteadyPreset:
 
 
 def _parabolic_from_series(alpha, smooth, degree):
-    """Separable solution u(x,t) = X(x) cos(t) with its matched source."""
-    modal = jacobi_projection(smooth, alpha, degree)
-    flap_modal = modal * frac_diag_factor(np.arange(degree + 1), alpha)
-    space = WeightedSeries(alpha, modal)
+    """Separable solution u(x,t) = X(x) cos(t) with its profile X."""
+    space = WeightedSeries(alpha, jacobi_projection(smooth, alpha, degree))
 
     def u(x, t):
         return space(x) * np.cos(t)
 
-    return ParabolicPreset(
-        solution=u, source=SeparableSource(alpha, modal, flap_modal), initial=space
-    )
+    return ParabolicPreset(solution=u, source=space, initial=space)
 
 
 def parabolic_poly_preset(alpha: float) -> ParabolicPreset:

@@ -40,20 +40,25 @@ def st_operator_two_term(interp, x, t):
 
 
 def separable_source(source, x, t):
-    """Values of a presets.SeparableSource at broadcast (x, t).
+    """-X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t at broadcast (x, t).
 
-    The reference form: the two modal series evaluated apart on one Jacobi
-    table, -X(x) sin t + ((-Delta)^(alpha/2) X)(x) cos t.
+    `source` is the profile X, a basis.WeightedSeries.  The reference form:
+    X's image takes scipy's Gamma(n+alpha+1)/Gamma(n+1) as the eigenvalues,
+    and the two series are evaluated apart on one Jacobi table.
     """
+    from scipy.special import gamma
+
     from fracsmc.basis import singular_weight
     from fracsmc.specfun import JacobiIndex, jacobi_eval_all
 
     x = np.asarray(x, dtype=float)
-    idx = JacobiIndex(source.alpha / 2, source.alpha / 2)
-    P = jacobi_eval_all(len(source.modal) - 1, idx, np.atleast_1d(x).ravel())
-    X = np.einsum("n,nx->x", source.modal, P).reshape(x.shape)
-    X *= singular_weight(x, source.alpha)
-    flap = np.einsum("n,nx->x", source.flap_modal, P).reshape(x.shape)
+    modal, alpha = source.coefficients, source.alpha
+    n = np.arange(len(modal))
+    image = modal * gamma(n + alpha + 1) / gamma(n + 1)
+    P = jacobi_eval_all(len(modal) - 1, JacobiIndex(alpha / 2, alpha / 2), x.ravel())
+    X = np.einsum("n,nx->x", modal, P).reshape(x.shape)
+    X *= singular_weight(x, alpha)
+    flap = np.einsum("n,nx->x", image, P).reshape(x.shape)
     return -X * np.sin(t) + flap * np.cos(t)
 
 

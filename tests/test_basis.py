@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracsmc.basis import (
     ContractError,
+    WeightedSeries,
     eval_interpolant,
     eval_jacobi_series,
     eval_st_interpolant,
@@ -23,7 +24,6 @@ from fracsmc.basis import (
 )
 from fracsmc.parabolic import st_residual_source
 from fracsmc.poisson import MAX_N_X
-from fracsmc.presets import SeparableSource
 from fracsmc.specfun import JacobiIndex, jacobi_eval_all
 from helpers import st_operator_two_term
 
@@ -36,7 +36,7 @@ def st_operator(interp):
     The solver evaluates it only inside the residual, so it is taken here
     as minus the residual of a zero source.
     """
-    zero = SeparableSource(interp.grid.alpha, np.zeros(1), np.zeros(1))
+    zero = WeightedSeries(interp.grid.alpha, np.zeros(1))
     resid = st_residual_source(interp, zero)
     return lambda x, t: -resid(x, t)
 

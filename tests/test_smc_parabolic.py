@@ -14,6 +14,7 @@ from fracsmc.parabolic import (
 from fracsmc.poisson import Solution
 from fracsmc.presets import parabolic_poly_preset, parabolic_sine_preset
 from fracsmc.rng import RngStream
+from fracsmc.specfun import DomainError
 from fracsmc.walks import fixed_radius, parabolic_walks, unit_walk
 from helpers import separable_source, st_operator_two_term
 
@@ -62,6 +63,40 @@ class TestStsmcSolve:
         np.testing.assert_allclose(
             sol(xs, ts), pre.solution(xs, ts), atol=1e-4
         )
+
+    def test_callable_shapes(self):
+        # as the steady Solution and WeightedSeries: a scalar point gives a
+        # float, and an array keeps its broadcast shape
+        pre = parabolic_poly_preset(0.6)
+        cfg = ParabolicConfig(
+            alpha=0.6, n_x=2, n_t=4, final_time=1.0,
+            n_walks=10, n_sub=16, seed=2, k_max=2,
+        )
+        sol = stsmc_solve(cfg, pre.source, pre.initial)
+        assert isinstance(sol(0.3, 0.2), float)
+        assert sol(np.full((1, 1), 0.3), 0.2).shape == (1, 1)
+        assert sol(np.zeros((2, 1)), np.array([0.1, 0.2, 0.3])).shape == (2, 3)
+
+    def test_time_outside_horizon_raises(self):
+        # past the horizon the Legendre series would only extrapolate
+        pre = parabolic_poly_preset(0.6)
+        cfg = ParabolicConfig(
+            alpha=0.6, n_x=2, n_t=4, final_time=0.5,
+            n_walks=10, n_sub=16, seed=2, k_max=2,
+        )
+        sol = stsmc_solve(cfg, pre.source, pre.initial)
+        for t in (5.0, -1e-9, 0.5 + 1e-12, np.array([0.1, 0.6])):
+            with pytest.raises(DomainError, match="outside"):
+                sol(0.3, t)
+        assert np.isfinite(sol(0.3, 0.0)) and np.isfinite(sol(0.3, 0.5))
+        assert np.isnan(sol(0.3, np.nan))
+        np.testing.assert_array_equal(
+            np.isnan(sol(np.zeros(2), np.array([0.2, np.nan]))), [False, True]
+        )
+
+    def test_preset_source_is_its_profile(self):
+        pre = parabolic_poly_preset(0.6)
+        assert pre.source is pre.initial
 
     def test_initial_condition_recovered(self):
         pre = parabolic_poly_preset(1.0)
