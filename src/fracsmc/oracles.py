@@ -13,8 +13,10 @@ basis.frac_diag_factor, and from walks BallGeometry, zeta_closed and the
 reference jump inversion sample_jump_scaled (which the kernels do not
 call); the integral, Green's function, CMS and Euler code is their own.
 No solver module imports this one.  The CLI imports it for its validate
-suites, so the referees reach scipy.special, scipy.integrate and
-scipy.stats only when they run: a `fracsmc run` loads none of them.
+suites, so the referees reach scipy.special and scipy.integrate only
+when they run: a `fracsmc run` loads neither.  The jump-law check takes
+its two-sample KS statistic itself (ks_statistic), so nothing here
+loads scipy.stats.
 
 The referees are bit-for-bit reproducible, and two of them are hot loops.
 frac_laplacian_direct calls its integrand once per quadrature point (a
@@ -225,20 +227,33 @@ def jump_law_ks(
     center) under both candidate laws; dt is set so an exit takes the given
     expected number of Euler steps.
     """
-    # scipy.stats costs ~0.3 s to import and only this check needs it,
-    # so a plain `fracsmc run` does not load it
-    from scipy import stats
-
     rng = np.random.default_rng(seed)
     dt = zeta_closed(0.0, 1.0, alpha) / euler_steps_per_exit
     loc, _, capped = euler_stable_exit(0.0, 1.0, alpha, dt, rng, n_paths=n_euler)
-    euler_disp = np.abs(loc[~capped])
+    euler_disp = np.sort(np.abs(loc[~capped]))
     out = {"alpha": alpha, "dt": dt, "euler_capped": int(capped.sum())}
     for law in (JUMP_LAW_EXIT, JUMP_LAW_VERBATIM):
         omega = rng.uniform(size=n_jump)
         jumps = sample_jump_scaled(omega, alpha, law)
-        out[law] = float(stats.ks_2samp(jumps, euler_disp).statistic)
+        out[law] = ks_statistic(np.sort(jumps), euler_disp)
     return out
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic of two sorted samples.
+
+    sup |F_a - F_b| over the pooled points, by the same searchsorted and
+    extremum steps as scipy.stats.ks_2samp's two-sided asymptotic mode,
+    so the same float; no p-value.
+    """
+    both = np.concatenate([a, b])
+    diffs = (
+        np.searchsorted(a, both, side="right") / len(a)
+        - np.searchsorted(b, both, side="right") / len(b)
+    )
+    # the largest pooled point gives diffs = 0, so both extremes are >= 0;
+    # a tie goes to the positive side, as in scipy
+    return float(max(diffs.max(), -diffs.min()))
 
 
 def gjf_identity_rhs(n: int, alpha: float, x):
@@ -254,6 +269,14 @@ def greens_q(x, y, r: float, alpha: float):
     Ball centered at the origin; vectorized in x, y.  For alpha = 2 this is
     the classical interval Green's function.
     """
+    if isinstance(x, float) and isinstance(y, float) and alpha != 1 and alpha != 2:
+        # occupation_zeta's quadrature asks for one point at a time: the
+        # array path's checks and operations in Python floats, bit for bit
+        if abs(x) >= r or abs(y) >= r:
+            raise DomainError("greens_q requires |x| < r and |y| < r")
+        if x == y:
+            raise DomainError("greens_q is singular at x = y")
+        return float(_greens_q_hyp(x, y, r, alpha))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) >= r) or np.any(np.abs(y) >= r):
@@ -263,19 +286,30 @@ def greens_q(x, y, r: float, alpha: float):
     if alpha == 2:
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         out = (r + lo) * (r - hi) / (2 * r)
-    else:
+    elif alpha == 1:
+        # hyp2f1(1/2, 1/2, 3/2, -rho) overflows in scipy for huge rho;
+        # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
         rho = (r * r - x * x) * (r * r - y * y) / (r * r * (y - x) ** 2)
-        if alpha == 1:
-            # hyp2f1(1/2, 1/2, 3/2, -rho) overflows in scipy for huge rho;
-            # at alpha = 1 it reduces to arcsinh(sqrt(rho)) / sqrt(rho)
-            out = np.arcsinh(np.sqrt(rho)) / np.pi
-        else:
-            coeff = 1.0 / (2**alpha * Gamma(alpha / 2) ** 2)
-            inner = (2 / alpha) * rho ** (alpha / 2) * scipy.special.hyp2f1(
-                0.5, alpha / 2, 1 + alpha / 2, -rho
-            )
-            out = coeff * np.abs(y - x) ** (alpha - 1) * inner
+        out = np.arcsinh(np.sqrt(rho)) / np.pi
+    else:
+        out = _greens_q_hyp(x, y, r, alpha)
     return float(out) if out.ndim == 0 else out
+
+
+def _greens_q_hyp(x, y, r: float, alpha: float):
+    """greens_q at alpha not in {1, 2}, its hypergeometric form.
+
+    Floats or arrays alike.  Arithmetic on 0-d arrays gives numpy scalars,
+    whose ** calls the C library's pow, as float ** does (numpy's pow on
+    longer arrays can round differently), so float x, y give the bits of
+    0-d ones.
+    """
+    rho = (r * r - x * x) * (r * r - y * y) / (r * r * (y - x) ** 2)
+    coeff = 1.0 / (2**alpha * Gamma(alpha / 2) ** 2)
+    inner = (2 / alpha) * rho ** (alpha / 2) * scipy.special.hyp2f1(
+        0.5, alpha / 2, 1 + alpha / 2, -rho
+    )
+    return coeff * abs(y - x) ** (alpha - 1) * inner
 
 
 def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:

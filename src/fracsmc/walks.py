@@ -5,6 +5,9 @@ ball-exit jump law, occupation-weighted source term) and the fixed-radius
 walk for the parabolic problem with a trapezoid source functional along
 the path.  poisson_walks steps the paths of many start points in one loop
 (a steady sweep makes one call), each start drawing from its own stream.
+All paths of a start begin in the same ball, so the first step evaluates
+the source once per start; the occupation rule's dot product is still
+taken one start's block of paths at a time.
 parabolic_walks draws nothing: it walks a unit_walk block, which all
 nodes of a sweep share (correlated noise, each node still unbiased).
 
@@ -237,7 +240,9 @@ def poisson_walks(
     Score per path: the occupation-weighted averages of `source` over the
     visited balls, each by the n_rule-point occupation_rule (exact to
     degree 2 n_rule - 1); `source` maps an array of points to values of
-    the same shape.  Start j draws from streams[j] alone (each step the
+    the same shape.  On step 1 `source` gets one row of n_rule points per
+    start, which every path of that start shares; on later steps, one row
+    per active path.  Start j draws from streams[j] alone (each step the
     jumps, then the signs of its active paths), so its paths are those of
     a call from it alone.  The WalkBatch is start-major: start j owns
     entries j*n_paths to (j+1)*n_paths - 1.
@@ -266,8 +271,14 @@ def poisson_walks(
         x = pos[idx]
         r = 1.0 - np.abs(x)
         # source term: occupation weight times the mean of f under the
-        # occupation law of the ball, by the Gauss rule for that law
-        fv = source(x[:, None] + r[:, None] * nodes)
+        # occupation law of the ball, by the Gauss rule for that law; on
+        # step 1 every path of a start sits in the start's ball, so f is
+        # evaluated once per start and its row repeated for the paths
+        if n_steps == 1:
+            first = source(x0[:, None] + (1.0 - np.abs(x0))[:, None] * nodes)
+            fv = np.repeat(first, n_paths, axis=0)
+        else:
+            fv = source(x[:, None] + r[:, None] * nodes)
         occ, jump, sign = np.empty((3, len(idx)))
         lo = 0
         for rng, hi in zip(rngs, ends):

@@ -86,3 +86,45 @@ def euler_exit_masked(x0, halfwidth, alpha, dt, rng, n_paths):
         loc[done] = pos[done]
         active[done] = False
     return loc, steps, active.copy()
+
+
+def poisson_walks_per_path(starts, source, alpha, streams, n_paths, n_rule):
+    """walks.poisson_walks with the source evaluated on every path every step.
+
+    The reference form of the kernel's first step: each path's ball gets its
+    own row of rule points, also on step 1 where the paths of a start share
+    one ball.  The same draws in the same order, so the same WalkBatch.
+    """
+    from fracsmc import walks
+    from fracsmc.specfun import Gamma
+
+    x0 = np.asarray(starts, dtype=float)
+    rngs = [stream.generator() for stream in streams]
+    nodes, weights = walks.occupation_rule(alpha, n_rule)
+    pos = np.repeat(x0, n_paths)
+    scores = np.zeros(len(pos))
+    steps = np.zeros(len(pos), dtype=np.int64)
+    active = np.ones(len(pos), dtype=bool)
+    gamma1a = Gamma(1 + alpha)
+    n_steps = 0
+    while active.any() and n_steps < walks.POISSON_STEP_CAP:
+        n_steps += 1
+        idx = np.nonzero(active)[0]
+        ends = np.cumsum(np.count_nonzero(active.reshape(len(rngs), n_paths), axis=1))
+        x = pos[idx]
+        r = 1.0 - np.abs(x)
+        fv = source(x[:, None] + r[:, None] * nodes)
+        occ, jump, sign = np.empty((3, len(idx)))
+        lo = 0
+        for rng, hi in zip(rngs, ends):
+            if hi > lo:
+                occ[lo:hi] = fv[lo:hi] @ weights
+                jump[lo:hi] = walks.sample_jump(rng, alpha, hi - lo)
+                sign[lo:hi] = walks.sample_direction_1d(rng, size=hi - lo)
+            lo = hi
+        scores[idx] += (r**alpha / gamma1a) * occ
+        new = x + r * jump * sign
+        pos[idx] = new
+        steps[idx] += 1
+        active[idx[np.abs(new) >= 1.0]] = False
+    return walks.WalkBatch(scores=scores, steps=steps, capped=active)

@@ -626,6 +626,18 @@ class TestColdRun:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_validate_walk_loads_no_scipy_stats(self):
+        # the jump-law check takes its KS statistic itself
+        code = (
+            "import sys\n"
+            "from fracsmc.cli import main\n"
+            "rc = main(['validate', 'walk'])\n"
+            "print(rc, 'scipy.stats' in sys.modules)"
+        )
+        proc = _fresh_interpreter("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_validate_oracle_passes_in_a_fresh_interpreter(self):
         # the referees import scipy.integrate themselves when they integrate
         proc = _fresh_interpreter("-m", "fracsmc.cli", "validate", "oracle")

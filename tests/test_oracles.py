@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gamma as gamma_fn
 
 import fracsmc
@@ -23,6 +24,7 @@ from fracsmc.oracles import (
     frac_laplacian_direct,
     galerkin_solve,
     gjf_identity_rhs,
+    greens_q,
     normalization_constant,
     sample_symmetric_stable,
 )
@@ -179,6 +181,46 @@ class TestEulerExit:
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return got[2]
+
+
+class TestKsStatistic:
+    def test_equals_scipy_ks_2samp_bitwise(self):
+        rng = np.random.default_rng(8)
+        cases = [
+            (rng.normal(size=3001), rng.standard_cauchy(size=1717)),
+            # ties inside each sample and across the two
+            (rng.integers(0, 20, 2500) * 0.1, rng.integers(0, 25, 900) * 0.1),
+            (np.ones(50), np.ones(70)),  # every point tied: 0
+            (rng.uniform(size=40), rng.uniform(size=41) + 2),  # disjoint: 1
+            (rng.uniform(size=30_000), rng.uniform(size=12_001) ** 1.1),
+        ]
+        for a, b in cases:
+            # the exact mode (both sizes up to 10,000) rounds the statistic
+            # to a multiple of 1/lcm(n1, n2); the asymptotic one returns it
+            want = stats.ks_2samp(a, b, method="asymp").statistic
+            got = oracles.ks_statistic(np.sort(a), np.sort(b))
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+            back = oracles.ks_statistic(np.sort(b), np.sort(a))
+            assert np.float64(back).view(np.int64) == np.float64(want).view(np.int64)
+
+
+class TestGreensQ:
+    @pytest.mark.parametrize("alpha", [0.05, 0.6, 1.4, 1.5, 1.99])
+    def test_float_path_equals_the_array_path_bitwise(self, alpha):
+        # the quadrature's floats skip numpy's 0-d arrays and give the same bits
+        rng = np.random.default_rng(int(alpha * 100))
+        r = 0.7
+        x, y = rng.uniform(-r, r, (2, 4000))
+        y[:20] = x[:20] + 1e-9  # near the diagonal, where rho is huge
+        got = np.array([greens_q(float(a), float(b), r, alpha) for a, b in zip(x, y)])
+        want = np.array([greens_q(np.asarray(a), np.asarray(b), r, alpha) for a, b in zip(x, y)])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("x, y", [(0.7, 0.1), (0.1, -0.7), (0.3, 0.3)])
+    def test_float_path_rejects_what_the_array_path_rejects(self, x, y):
+        for args in ((x, y), (np.asarray(x), np.asarray(y))):
+            with pytest.raises(DomainError):
+                greens_q(*args, 0.7, 0.6)
 
 
 def test_solver_modules_do_not_load_the_referees():

@@ -34,6 +34,7 @@ from fracsmc.walks import (
     unit_walk,
     zeta_closed,
 )
+from helpers import poisson_walks_per_path
 
 ALPHAS = [0.6, 1.0, 1.4]
 
@@ -235,7 +236,9 @@ class TestPoissonWalk:
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 2.0])
     def test_one_call_equals_one_start_calls_bitwise(self, preset, alpha):
         # the residual of a nonzero iterate, from the nodes and from starts
-        # near +-1, whose paths end several steps apart from the others'
+        # near +-1, whose paths end several steps apart from the others';
+        # the batch also equals the reference that evaluates the source on
+        # every path at step 1, where the kernel shares one row per start
         grid = make_grid(alpha, 6)
         interp = interpolate(grid, np.cos(3 * grid.nodes))
         resid = residual_source(interp, preset(alpha).source)
@@ -246,12 +249,42 @@ class TestPoissonWalk:
             batch = poisson_walks(starts, resid, alpha, streams, n_paths, n_rule)
             steps = batch.steps.reshape(len(starts), n_paths)
             assert steps.max() - steps.max(axis=1).min() >= 3
+            want = poisson_walks_per_path(starts, resid, alpha, streams, n_paths, n_rule)
+            np.testing.assert_array_equal(batch.scores, want.scores)
+            np.testing.assert_array_equal(batch.steps, want.steps)
+            np.testing.assert_array_equal(batch.capped, want.capped)
             for j, (x, stream) in enumerate(zip(starts, streams)):
                 one = poisson_walks([x], resid, alpha, [stream], n_paths, n_rule)
                 rows = slice(j * n_paths, (j + 1) * n_paths)
                 np.testing.assert_array_equal(batch.scores[rows], one.scores)
                 np.testing.assert_array_equal(batch.steps[rows], one.steps)
                 np.testing.assert_array_equal(batch.capped[rows], one.capped)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.4, 2.0])
+    def test_one_wide_start_equals_per_path_reference(self, alpha):
+        # one start with as many paths as the validate walk suite uses
+        resid = residual_source(
+            interpolate(make_grid(alpha, 6), np.zeros(7)), sin_source_preset(alpha).source
+        )
+        args = ([0.5], resid, alpha, [RngStream(4)], 20_000, OCCUPATION_NODES)
+        batch, want = poisson_walks(*args), poisson_walks_per_path(*args)
+        np.testing.assert_array_equal(batch.scores, want.scores)
+        np.testing.assert_array_equal(batch.steps, want.steps)
+        np.testing.assert_array_equal(batch.capped, want.capped)
+
+    def test_first_step_evaluates_the_source_once_per_start(self):
+        sizes = []
+
+        def counting(x):
+            sizes.append(x.size)
+            return np.cos(x)
+
+        starts = [-0.5, 0.0, 0.7]
+        streams = [RngStream(2, (j,)) for j in range(3)]
+        batch = poisson_walks(starts, counting, 1.1, streams, 40, 7)
+        assert sizes[0] == len(starts) * 7
+        # every later call gets one row per path still walking
+        assert sum(sizes[1:]) == 7 * (batch.steps.sum() - len(batch.steps))
 
     def test_alpha_2_step_replays_bitwise(self):
         # at alpha = 2 a path steps to x + (1 - |x|) s, s a sign drawn from
