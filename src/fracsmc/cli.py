@@ -306,7 +306,7 @@ def _suite_walk(failures: list, seed: int) -> None:
 
 def _suite_oracle(failures: list, seed: int) -> None:
     for n, alpha in ((0, 0.6), (2, 1.2)):
-        u = lambda y: basis.gjf_eval(n, alpha, min(max(y, -1.0), 1.0)) * (abs(y) < 1)
+        u = lambda y: basis.gjf_eval(n, alpha, np.clip(y, -1, 1)) * (np.abs(y) < 1)
         got = oracles.frac_laplacian_direct(u, 0.3, alpha)
         want = float(oracles.gjf_identity_rhs(n, alpha, np.array([0.3]))[0])
         rel = abs(got / want - 1)

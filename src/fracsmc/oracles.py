@@ -8,34 +8,35 @@ increments.  The occupation density of a ball (greens_q) and its
 quadrature (occupation_zeta) check the closed-form exit time
 walks.zeta_closed.  These referees are low-accuracy by design; they tie
 the spectral identities and the walk kernels to ground truth.  They
-share with the solver the Jacobi recurrence and Gamma of specfun,
-basis.frac_diag_factor, and from walks BallGeometry, zeta_closed and the
-reference jump inversion sample_jump_scaled (which the kernels do not
-call); the integral, Green's function, CMS and Euler code is their own.
+share with the solver the Jacobi recurrence, Gauss rules and Gamma of
+specfun, basis.frac_diag_factor (for the closed form gjf_identity_rhs
+only), and from walks BallGeometry, zeta_closed and the reference jump
+inversion sample_jump_scaled (which the kernels do not call); the
+integral, Green's function, CMS and Euler code is their own.
 No solver module imports this one.  The CLI imports it for its validate
 suites, so the referees reach scipy.special and scipy.integrate only
-when they run: a `fracsmc run` loads neither.  The jump-law check takes
-its two-sample KS statistic itself (ks_statistic), so nothing here
-loads scipy.stats.
+when they run: a `fracsmc run` loads neither.  Only occupation_zeta
+integrates adaptively (scipy.integrate.quad); frac_laplacian_direct
+sums fixed Gauss rules, cached per rule.  The jump-law check takes its
+two-sample KS statistic itself (ks_statistic), so nothing here loads
+scipy.stats.
 
-The referees are bit-for-bit reproducible, and two of them are hot loops.
-frac_laplacian_direct calls its integrand once per quadrature point (a
-scalar basis.gjf_eval stays in Python floats for it) and silences
-QUADPACK's IntegrationWarning only inside its own call.  The Euler exit
-keeps the paths still inside packed in index order, so a step touches
-only those paths and draw j still moves the j-th of them.
+The referees are bit-for-bit reproducible.  frac_laplacian_direct calls
+u once per panel with all of the panel's points.  The Euler exit keeps
+the paths still inside packed in index order, so a step touches only
+those paths and draw j still moves the j-th of them; it scales, adds
+and tests each step's draws in the draws' own buffer.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy  # scipy.special (greens_q's hyp2f1) loads on first use
 
 from .basis import frac_diag_factor, galerkin_solve  # noqa: F401 (the Galerkin referee)
-from .specfun import DomainError, Gamma, JacobiIndex, jacobi_eval_all
+from .specfun import DomainError, Gamma, JacobiIndex, jacobi_eval_all, jacobi_gauss
 from .walks import (
     JUMP_LAW_EXIT,
     JUMP_LAW_VERBATIM,
@@ -46,7 +47,7 @@ from .walks import (
 
 
 class QuadratureFailure(RuntimeError):
-    """The cutoff extrapolation did not settle within the tolerance."""
+    """The singular integral moved with its window beyond the tolerance."""
 
 
 def normalization_constant(alpha: float) -> float:
@@ -63,95 +64,67 @@ def normalization_constant(alpha: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class FracLapOracleConfig:
-    """Knobs of the principal-value evaluation."""
-
-    epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    quad_tol: float = 1e-9
-    settle_tol: float = 1e-6
+_WINDOW_POINTS = 12  # more points reach smaller h, where the second difference cancels
+_PANEL_POINTS = 60
+_SETTLE_TOL = 1e-6  # relative move allowed between the windows dist/2 and dist/4
 
 
-def frac_laplacian_direct(
-    u,
-    x: float,
-    alpha: float,
-    cfg: FracLapOracleConfig = FracLapOracleConfig(),
-) -> float:
+@lru_cache(maxsize=64)
+def _rule(n_points: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for (1-t)^a (1+t)^b on (-1, 1)."""
+    rule = jacobi_gauss(n_points - 1, JacobiIndex(a, b))
+    return rule.nodes, rule.weights
+
+
+def frac_laplacian_direct(u, x: float, alpha: float) -> float:
     """Fractional Laplacian of u at an interior x from the singular integral.
 
-    u maps a float to a number and is taken as zero outside (-1, 1).  The
-    window around x uses the absolutely convergent second-difference form;
-    the rest of (-1, 1) is integrated adaptively and the exterior is summed
-    in closed form.  The value is recomputed over the shrinking window
-    schedule and must settle.
+    u maps an array of points in (-1, 1) to an array of values; it is taken
+    as zero outside (-1, 1) and must be (1-y^2)^(alpha/2) times a smooth
+    function near +-1.  Fixed Gauss rules, one array call of u per panel:
+    the window |y - x| < delta in the second-difference form with the
+    weight h^(1-alpha); the rest of (-1, 1) on panels in s = |y - x| that
+    double from delta outward, the last one weighted by u's boundary factor
+    (end - s)^(alpha/2); the u(x) part of all of it, exterior included, in
+    closed form.  The value at delta = dist/2 must agree with the one at
+    dist/4, or QuadratureFailure is raised.
     """
     if not -1 < x < 1:
         raise DomainError("frac_laplacian_direct requires interior x")
     if not 0 < alpha < 2:
         raise DomainError("direct evaluation requires alpha in (0, 2)")
-    # scipy.integrate and what it loads (optimize, sparse, linalg) cost
-    # ~0.3 s to import and only the referees that integrate need them,
-    # so a plain `fracsmc run` does not load them
-    from scipy import integrate
-
-    C = normalization_constant(alpha)
-    user_u = u
-    u = lambda y: float(user_u(y))  # QUADPACK wants plain floats back
-    ux = u(x)
     dist = min(1 - x, 1 + x)
+    value, check = (_pv_integral(u, x, alpha, dist / k) for k in (2, 4))
+    if abs(check - value) > _SETTLE_TOL * max(1.0, abs(value)):
+        raise QuadratureFailure(f"windows dist/2 and dist/4 disagree: {value}, {check}")
+    return normalization_constant(alpha) * value
 
-    def value(delta: float) -> float:
-        # Second difference / h^2 is smooth through h = 0; the remaining
-        # h^(1-alpha) algebraic factor is handled by the weighted rule.
-        def second_diff(h: float) -> float:
-            if h < 1e-7:  # CC abscissae include h = 0; take the limit value
-                h = 1e-4
-            return (2 * ux - u(x + h) - u(x - h)) / h**2
 
-        window, _ = integrate.quad(
-            second_diff,
-            0.0,
-            delta,
-            weight="alg",
-            wvar=(1 - alpha, 0),
-            epsabs=cfg.quad_tol,
-            epsrel=cfg.quad_tol,
-            limit=200,
-        )
-        right, _ = integrate.quad(
-            lambda y: (ux - u(y)) / (y - x) ** (1 + alpha),
-            x + delta,
-            1.0,
-            epsabs=cfg.quad_tol,
-            epsrel=cfg.quad_tol,
-            limit=200,
-        )
-        left, _ = integrate.quad(
-            lambda y: (ux - u(y)) / (x - y) ** (1 + alpha),
-            -1.0,
-            x - delta,
-            epsabs=cfg.quad_tol,
-            epsrel=cfg.quad_tol,
-            limit=200,
-        )
-        exterior = ux * ((1 - x) ** -alpha + (1 + x) ** -alpha) / alpha
-        return C * (window + right + left + exterior)
-
-    # the second-difference window runs into float cancellation by design;
-    # the settle check below is the real accuracy control
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        vals = [value(d) for d in cfg.epsilons if d < dist] or [value(dist / 2)]
-    if len(vals) >= 2:
-        # Shrinking the window beyond the float cancellation floor of the
-        # second difference degrades the value again, so accept the first
-        # consecutive pair that agrees rather than insisting on the last.
-        for a, b in zip(vals, vals[1:]):
-            if abs(b - a) <= cfg.settle_tol * max(1.0, abs(a)):
-                return a
-        raise QuadratureFailure(f"cutoff schedule did not settle: {vals}")
-    return vals[-1]
+def _pv_integral(u, x: float, alpha: float, delta: float) -> float:
+    """The principal-value integral of (u(x) - u(y)) |x - y|^(-1-alpha) over the line."""
+    t, w = _rule(_WINDOW_POINTS, 0.0, 1 - alpha)
+    h = 0.5 * delta * (1 + t)
+    vals = np.asarray(u(np.concatenate(([x], x + h, x - h))), dtype=float)
+    ux, right, left = vals[0], vals[1 : len(h) + 1], vals[len(h) + 1 :]
+    # the second difference over h^2 is smooth through h = 0
+    window = (0.5 * delta) ** (2 - alpha) * np.dot(w, (2 * ux - right - left) / h**2)
+    # the u(x) part of everything outside the window, exterior included
+    outside = 2 * ux * delta**-alpha / alpha
+    for sign, end in ((1.0, 1 - x), (-1.0, 1 + x)):
+        lo = delta
+        t, w = _rule(_PANEL_POINTS, 0.0, 0.0)
+        while 2 * lo < end:
+            s = lo * (1.5 + 0.5 * t)
+            fy = np.asarray(u(x + sign * s), dtype=float)
+            outside -= 0.5 * lo * np.dot(w, fy * s ** (-1 - alpha))
+            lo *= 2
+        # u vanishes like (end - s)^(alpha/2) there: that is the rule's weight
+        t, w = _rule(_PANEL_POINTS, alpha / 2, 0.0)
+        half = 0.5 * (end - lo)
+        s, gap = lo + half * (1 + t), half * (1 - t)
+        fy = np.asarray(u(x + sign * s), dtype=float) / gap ** (alpha / 2)
+        outside -= half ** (1 + alpha / 2) * np.dot(w, fy * s ** (-1 - alpha))
+    return float(window + outside)
 
 
 def sample_symmetric_stable(
@@ -200,8 +173,10 @@ def euler_stable_exit(
     k = 0
     while len(ids) and k < _EULER_STEP_CAP:
         k += 1
-        pos += scale * sample_symmetric_stable(alpha, rng, size=len(ids))
-        out = np.abs(pos) >= halfwidth
+        step = sample_symmetric_stable(alpha, rng, size=len(ids))
+        step *= scale
+        pos += step
+        out = np.abs(pos, out=step) >= halfwidth
         if out.any():
             done = ids[out]
             loc[done] = pos[out]
@@ -242,18 +217,22 @@ def jump_law_ks(
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic of two sorted samples.
 
-    sup |F_a - F_b| over the pooled points, by the same searchsorted and
+    sup |F_a - F_b| over the pooled points, by the same right-ranks and
     extremum steps as scipy.stats.ks_2samp's two-sided asymptotic mode,
-    so the same float; no p-value.
+    so the same float; no p-value.  Each sample's ranks in itself come in
+    linear time (no NaN), only the cross ranks by searchsorted.
     """
-    both = np.concatenate([a, b])
-    diffs = (
-        np.searchsorted(a, both, side="right") / len(a)
-        - np.searchsorted(b, both, side="right") / len(b)
-    )
+    diffs_a = _own_right_ranks(a) / len(a) - np.searchsorted(b, a, side="right") / len(b)
+    diffs_b = np.searchsorted(a, b, side="right") / len(a) - _own_right_ranks(b) / len(b)
     # the largest pooled point gives diffs = 0, so both extremes are >= 0;
     # a tie goes to the positive side, as in scipy
-    return float(max(diffs.max(), -diffs.min()))
+    return float(max(diffs_a.max(), diffs_b.max(), -diffs_a.min(), -diffs_b.min()))
+
+
+def _own_right_ranks(a: np.ndarray) -> np.ndarray:
+    """searchsorted(a, a, side="right") of a sorted a: one past each run of ties."""
+    ends = np.flatnonzero(np.append(a[1:] != a[:-1], True)) + 1
+    return np.repeat(ends, np.diff(ends, prepend=0))
 
 
 def gjf_identity_rhs(n: int, alpha: float, x):
@@ -322,7 +301,7 @@ def occupation_zeta(x: float, geom: BallGeometry, alpha: float) -> float:
     r = geom.radius
     if abs(xi) >= r:
         raise DomainError("occupation_zeta requires x inside the ball")
-    from scipy import integrate  # lazily, as in frac_laplacian_direct
+    from scipy import integrate  # lazily: it costs ~0.3 s to import
 
     val, _ = integrate.quad(
         lambda y: greens_q(xi, y, r, alpha),

@@ -1,6 +1,7 @@
 """Special functions and Gauss quadrature.
 
-Jacobi polynomial evaluation by the three-term recurrence, Jacobi norms,
+Jacobi polynomial evaluation by the three-term recurrence (its
+coefficients computed once per degree and index), Jacobi norms,
 Jacobi-Gauss quadrature rules and the Legendre-Gauss rule mapped to
 (0, T).  Everything here is a pure function of its arguments.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,29 +234,13 @@ def jacobi_series(coeffs: np.ndarray, index: JacobiIndex, x) -> np.ndarray:
     return out
 
 
-def jacobi_value(n: int, index: JacobiIndex, x: float) -> float:
-    """P_n at one point, in Python floats.
-
-    The jacobi_eval_all recurrence with the same operations in the same
-    order, so it equals jacobi_eval_all(n, index, [x])[n, 0] bit for bit
-    without numpy's per-call cost.
-    """
-    x = float(x)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, _jacobi_p1(index, x)
-    for k in range(1, n):
-        a1, a2, a3 = _jacobi_coeffs(k, index)
-        prev, cur = cur, (x * a1 + a2) * cur - prev * a3
-    return float(cur)
-
-
 def _jacobi_p1(index: JacobiIndex, x):
     return 0.5 * ((index.a + index.b + 2) * x + (index.a - index.b))
 
 
+@lru_cache(maxsize=1 << 14)
 def _jacobi_coeffs(k: int, index: JacobiIndex) -> tuple[float, float, float]:
-    """(a1, a2, a3) of P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}."""
+    """(a1, a2, a3) of P_{k+1} = (a1 x + a2) P_k - a3 P_{k-1}, computed once per (k, index)."""
     a, b = index.a, index.b
     s = 2 * k + a + b
     a1 = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))

@@ -29,9 +29,6 @@ def _report(num: int, ok: bool, detail: str) -> bool:
 def test_criterion_01_derivative_identity():
     # singular-integral oracle vs the closed-form image of the weighted
     # Jacobi basis, n <= 6, three alphas, ten interior points
-    cfg = oracles.FracLapOracleConfig(
-        epsilons=(1e-2, 1e-3), quad_tol=1e-7, settle_tol=1e-4
-    )
     xs = np.linspace(-0.85, 0.85, 10)
     worst = 0.0
     for n in range(7):
@@ -41,7 +38,7 @@ def test_criterion_01_derivative_identity():
                 u = lambda y: basis.gjf_eval(n, alpha, np.clip(y, -1, 1)) * (
                     np.abs(y) < 1
                 )
-                got = oracles.frac_laplacian_direct(u, float(x), alpha, cfg=cfg)
+                got = oracles.frac_laplacian_direct(u, float(x), alpha)
                 worst = max(worst, abs(got - w) / max(abs(w), 1e-12))
     ok = worst < 1e-4
     assert _report(1, ok, f"max relative error {worst:.2e} (tol 1e-4)")

@@ -70,6 +70,40 @@ class TestDirectOperator:
         frac_laplacian_direct(zero_extended_basis(0, 0.6), 0.3, 0.6)
         assert warnings.filters == before
 
+    def test_fixed_rules_hold_n_to_12_and_alpha_to_1_9(self):
+        # the worst point is n = 0, alpha = 1.9, x = 0.97 at 9.0e-8: there
+        # the window's second difference cancels at the rule's smallest h
+        xs = np.array([-0.9, 0.0, 0.3, 0.97])
+        worst = 0.0
+        for n in range(13):
+            for alpha in (0.05, 0.4, 1.0, 1.6, 1.9):
+                want = gjf_identity_rhs(n, alpha, xs)
+                for x, w in zip(xs, want):
+                    got = frac_laplacian_direct(zero_extended_basis(n, alpha), float(x), alpha)
+                    worst = max(worst, abs(got - w) / max(abs(w), 1e-12))
+        assert worst < 1e-6
+
+    def test_one_array_call_of_u_per_panel(self):
+        # at x = 0.3 (dist 0.7) the window dist/2 = 0.35 takes the window,
+        # one panel to s = 0.7 and two to s = 1.3; the window dist/4 takes
+        # the window, two panels and three: ten calls of at least 12 points
+        sizes = []
+        base = zero_extended_basis(3, 1.3)
+
+        def u(y):
+            sizes.append(np.size(y))
+            return base(y)
+
+        frac_laplacian_direct(u, 0.3, 1.3)
+        assert len(sizes) == 10 and min(sizes) >= 12
+
+    def test_jump_in_the_window_fails_the_settle_check(self):
+        # u jumps at |y - 0.3| = 0.21, inside the window dist/2 = 0.35 and
+        # outside dist/4 = 0.175, so the two windows disagree
+        u = lambda y: (np.abs(y - 0.3) < 0.21) * 1.0
+        with pytest.raises(QuadratureFailure):
+            frac_laplacian_direct(u, 0.3, 1.0)
+
     def test_rejects_boundary_point(self):
         with pytest.raises(DomainError):
             frac_laplacian_direct(zero_extended_basis(0, 0.8), 1.0, 0.8)
